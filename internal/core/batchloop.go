@@ -333,9 +333,9 @@ func (m *MultiRuntime) detectGroup(g *bundleBatch, tick, u int, chunk []int, str
 }
 
 // tickJob is one (stream, tick) frame dispatched to the unbatched
-// worker pool.
+// worker pool; pos is the frame's position in the tick's ready list.
 type tickJob struct {
-	stream, tick int
+	stream, tick, pos int
 }
 
 // tickLoop is the unbatched event loop's persistent worker pool: the
@@ -344,6 +344,14 @@ type tickJob struct {
 // goroutine churn. Within one tick each ready stream appears exactly
 // once, and ticks are separated by the barrier, so no two goroutines
 // ever touch one stream's runtime concurrently.
+//
+// Each frame's resolveFrame stages — link clock, cache resolution,
+// demand fetches — run in turn, in the tick's ready order, while the
+// decision and detector compute run in parallel. The shared cache thus
+// sees the serial loop's request order whatever the scheduling; without
+// a prefetch scheduler that makes pool results bit-identical to the
+// serial loop's. With one, a stream's finish stage (prefetch planning)
+// can still overtake a lower stream's resolve.
 type tickLoop struct {
 	m       *MultiRuntime
 	streams [][]*synth.Frame
@@ -353,6 +361,10 @@ type tickLoop struct {
 	jobs    chan tickJob
 	workers sync.WaitGroup
 	pending sync.WaitGroup
+
+	turnMu   sync.Mutex
+	turnCond *sync.Cond
+	turn     int // ready position whose resolveFrame may run next
 
 	failed   atomic.Bool
 	errOnce  sync.Once
@@ -367,6 +379,7 @@ func startTickLoop(m *MultiRuntime, streams [][]*synth.Frame, results [][]FrameR
 		obs:     obs,
 		jobs:    make(chan tickJob),
 	}
+	l.turnCond = sync.NewCond(&l.turnMu)
 	for w := 0; w < m.workers; w++ {
 		l.workers.Add(1)
 		go func() {
@@ -382,11 +395,16 @@ func startTickLoop(m *MultiRuntime, streams [][]*synth.Frame, results [][]FrameR
 
 // runTick dispatches one tick's ready streams to the pool and waits for
 // the barrier. The WaitGroup edge makes the workers' writes (results,
-// firstErr) visible here.
+// firstErr) visible here. Jobs go out in ready order, so a worker
+// waiting for its turn only ever waits on frames already taken by
+// running workers.
 func (l *tickLoop) runTick(tick int, ready []int) error {
+	l.turnMu.Lock()
+	l.turn = 0
+	l.turnMu.Unlock()
 	l.pending.Add(len(ready))
-	for _, i := range ready {
-		l.jobs <- tickJob{stream: i, tick: tick}
+	for pos, i := range ready {
+		l.jobs <- tickJob{stream: i, tick: tick, pos: pos}
 	}
 	l.pending.Wait()
 	if l.failed.Load() {
@@ -396,15 +414,32 @@ func (l *tickLoop) runTick(tick int, ready []int) error {
 }
 
 func (l *tickLoop) run(j tickJob) {
-	if l.failed.Load() {
+	rt := l.m.streams[j.stream]
+	f := l.streams[j.stream][j.tick]
+	skip := l.failed.Load()
+	err := rt.validateFrame(f)
+	if !skip && err == nil {
+		rt.computeDecision(f)
+	}
+	var (
+		res FrameResult
+		seq int64
+	)
+	// Every job takes and passes its turn, failed or not, so the
+	// positions behind it never wait forever.
+	l.takeTurn(j.pos)
+	if !skip && err == nil {
+		seq, err = rt.resolveFrame(f, &res)
+	}
+	l.passTurn()
+	if skip {
 		return
 	}
-	f := l.streams[j.stream][j.tick]
-	res, err := l.m.streams[j.stream].ProcessFrame(f)
 	if err != nil {
 		l.fail(fmt.Errorf("core: stream %d: %w", j.stream, err))
 		return
 	}
+	rt.serveFrame(f, seq, &res)
 	if l.obs != nil {
 		if err := l.obs(j.stream, f, res); err != nil {
 			l.fail(fmt.Errorf("core: stream %d observer: %w", j.stream, err))
@@ -412,6 +447,24 @@ func (l *tickLoop) run(j tickJob) {
 		}
 	}
 	l.results[j.stream][j.tick] = res
+}
+
+// takeTurn blocks until every frame ahead of pos in the tick's ready
+// order has passed its turn.
+func (l *tickLoop) takeTurn(pos int) {
+	l.turnMu.Lock()
+	for l.turn != pos {
+		l.turnCond.Wait()
+	}
+	l.turnMu.Unlock()
+}
+
+// passTurn lets the next ready position take its turn.
+func (l *tickLoop) passTurn() {
+	l.turnMu.Lock()
+	l.turn++
+	l.turnMu.Unlock()
+	l.turnCond.Broadcast()
 }
 
 func (l *tickLoop) fail(err error) {

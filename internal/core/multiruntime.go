@@ -91,9 +91,8 @@ type MultiRuntimeConfig struct {
 	// one grouped batch. Cache resolution, device accounting, prefetch
 	// ticks and bookkeeping are unchanged and run sequentially in
 	// ascending stream order, so a batched run is deterministic for a
-	// fixed input and its per-frame results are bit-identical to the
-	// unbatched path (absent cross-stream cache interference, which
-	// batching serializes rather than races).
+	// fixed input and, without a prefetch scheduler, its per-frame
+	// results are bit-identical to the unbatched path.
 	Batch bool
 	// MaxBatch caps how many streams one batched dispatch stages
 	// (default 256); larger ready sets are processed in consecutive

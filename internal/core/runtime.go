@@ -244,13 +244,16 @@ type Runtime struct {
 	stats     RunStats
 
 	// Reused per-frame working buffers: the frame feature, the
-	// embedding, the score vector, and the per-cell prediction slice.
-	// The bundle's models are frozen weights, so the steady-state frame
-	// step performs no per-frame heap allocations beyond the rank slice.
-	featBuf   tensor.Vector
-	embBuf    tensor.Vector
-	scoresBuf []float64
-	predsBuf  []detect.CellPred
+	// embedding, the score vector, the per-cell prediction slice, the
+	// model ranking and the pre-resolve residency snapshot. The
+	// bundle's models are frozen weights, so a served frame on a warm
+	// cache performs no heap allocations.
+	featBuf     tensor.Vector
+	embBuf      tensor.Vector
+	scoresBuf   []float64
+	predsBuf    []detect.CellPred
+	rankBuf     []int
+	preResident []bool
 
 	// met/tracer/streamID are the telemetry attachment (see
 	// RuntimeConfig.Metrics and Tracer); all handles are nil-safe.
@@ -477,23 +480,39 @@ func (r *Runtime) SwapBundle(b *Bundle) error {
 //
 // The body is a composition of the stage methods below; MultiRuntime's
 // batched event loop runs the same stages, substituting batched
-// embedding/score/detector computation for the per-frame calls.
+// embedding/score/detector computation for the per-frame calls, and
+// its worker pool runs resolveFrame in stream order.
 func (r *Runtime) ProcessFrame(f *synth.Frame) (FrameResult, error) {
 	if err := r.validateFrame(f); err != nil {
 		return FrameResult{}, err
 	}
-	var res FrameResult
-	seq := r.beginFrame()
 	r.computeDecision(f)
-	rank := r.stageDecide(seq, &res)
-	if err := r.stageResolve(f, seq, rank, &res); err != nil {
+	var res FrameResult
+	seq, err := r.resolveFrame(f, &res)
+	if err != nil {
 		return FrameResult{}, err
 	}
-	detectDur := r.detectAccount(f, &res)
-	r.predsBuf = r.bundle.Detectors[res.Used].DetectFrame(r.predsBuf, f)
-	r.finishDetect(f, seq, detectDur, &res)
-	r.stageFinish(&res)
+	r.serveFrame(f, seq, &res)
 	return res, nil
+}
+
+// resolveFrame opens the frame and runs MSS and CMD on the decision
+// buffers computeDecision filled: every stage of the frame that reads
+// or writes state shared across streams — link clock, tracer sequence,
+// model cache, demand fetches — up to the choice of serving model.
+func (r *Runtime) resolveFrame(f *synth.Frame, res *FrameResult) (int64, error) {
+	seq := r.beginFrame()
+	rank := r.stageDecide(seq, res)
+	return seq, r.stageResolve(f, seq, rank, res)
+}
+
+// serveFrame is MI and the bookkeeping after resolveFrame: it runs the
+// serving detector, scores the frame and closes it.
+func (r *Runtime) serveFrame(f *synth.Frame, seq int64, res *FrameResult) {
+	detectDur := r.detectAccount(f, res)
+	r.predsBuf = r.bundle.Detectors[res.Used].DetectFrame(r.predsBuf, f)
+	r.finishDetect(f, seq, detectDur, res)
+	r.stageFinish(res)
 }
 
 // validateFrame rejects frames the bundle cannot process. Split from
@@ -525,7 +544,7 @@ func (r *Runtime) beginFrame() int64 {
 }
 
 // computeDecision fills the embedding and score buffers for one frame —
-// the per-frame (GEMV) form. The batched path replaces this with
+// the per-frame (one-row batch) form. The batched path replaces this with
 // adoptDecision over rows of the tick's batch matrices; both produce
 // bit-identical buffers.
 func (r *Runtime) computeDecision(f *synth.Frame) {
@@ -560,7 +579,8 @@ func (r *Runtime) stageDecide(seq int64, res *FrameResult) []int {
 		res.Latency += decideDur
 	}
 	scores := r.scoresBuf
-	rank := stats.RankDescending(scores)
+	r.rankBuf = stats.RankDescendingInto(r.rankBuf, scores)
+	rank := r.rankBuf
 	res.Desired = r.applyHysteresis(rank[0])
 	res.Confidence = scores[rank[0]]
 	res.Novelty = r.bundle.NoveltyOfEmbedding(r.embBuf)
@@ -587,12 +607,12 @@ func (r *Runtime) stageResolve(f *synth.Frame, seq int64, rank []int, res *Frame
 	// desired model loads in the background; only the very first frame,
 	// with an empty cache, blocks on its load.
 	coldStart := r.cache.Len() == 0
-	var preResident []bool
+	preResident := r.preResident[:0]
 	if !coldStart {
-		preResident = make([]bool, len(r.bundle.Detectors))
-		for i, det := range r.bundle.Detectors {
-			preResident[i] = r.cache.Contains(det.Name)
+		for _, det := range r.bundle.Detectors {
+			preResident = append(preResident, r.cache.Contains(det.Name))
 		}
+		r.preResident = preResident
 	}
 	desiredName := r.bundle.Detectors[res.Desired].Name
 
@@ -879,16 +899,18 @@ func (r *Runtime) applyHysteresis(top int) int {
 	return r.committed
 }
 
-// prependModel moves idx to the front of rank without duplicating it.
+// prependModel moves idx to the front of rank in place, keeping the
+// relative order of the others (a rotation of rank[:p+1], where p is
+// idx's position). An idx absent from rank is prepended.
 func prependModel(rank []int, idx int) []int {
-	out := make([]int, 0, len(rank))
-	out = append(out, idx)
-	for _, m := range rank {
-		if m != idx {
-			out = append(out, m)
+	for p, m := range rank {
+		if m == idx {
+			copy(rank[1:p+1], rank[:p])
+			rank[0] = idx
+			return rank
 		}
 	}
-	return out
+	return append([]int{idx}, rank...)
 }
 
 func (r *Runtime) modelIndex(name string) int {

@@ -112,29 +112,17 @@ type CellPred struct {
 const objectnessThreshold = 0.5
 
 // DetectFrame runs the head over every cell of f, writing predictions
-// into dst (reused when correctly sized) and returning it. The weights
-// are immutable and the per-call working set (scratch, input staging,
-// output buffer) is acquired once per frame, so DetectFrame is safe to
-// call concurrently on one shared Detector and the per-cell loop
-// performs no heap allocations.
+// into dst (reused when correctly sized) and returning it. It is
+// DetectBatch on a batch of one frame — the same staging, the same
+// matrix products and the same decode — so the two paths agree bit for
+// bit by construction. Safe to call concurrently on one shared
+// Detector; with a pre-sized dst the steady state performs no heap
+// allocations.
 func (d *Detector) DetectFrame(dst []CellPred, f *synth.Frame) []CellPred {
-	cells := f.NumCells()
-	if len(dst) != cells {
-		dst = make([]CellPred, cells)
-	}
-	ctx := synth.FrameFeature(f)
-	s := d.weights.AcquireScratch()
-	in := s.In(d.weights.InDim())
-	out := s.Out(d.weights.OutDim())
-	for c := 0; c < cells; c++ {
-		synth.CellInput(in, f, c, ctx)
-		d.weights.Infer(out, in, s)
-		obj := 1 / (1 + math.Exp(-out[0]))
-		classIdx := tensor.Vector(out[1:]).Argmax()
-		dst[c] = CellPred{Objectness: obj, Class: synth.Class(classIdx)}
-	}
-	d.weights.ReleaseScratch(s)
-	return dst
+	frames := [1]*synth.Frame{f}
+	dsts := [1][]CellPred{dst}
+	d.DetectBatch(dsts[:], frames[:])
+	return dsts[0]
 }
 
 // detectBatchRows bounds how many cell rows DetectBatch stages per
@@ -147,11 +135,8 @@ const detectBatchRows = 512
 // time, flushed at detectBatchRows rows) and each dense layer runs as
 // one matrix product for the chunk instead of one per cell. dsts is
 // reused per frame when correctly sized, exactly like DetectFrame's
-// dst. Per cell the predictions are bit-identical to DetectFrame: the
-// batched kernel keeps each dot product's summation order, and the
-// sigmoid/argmax decode is the same code. Safe to call concurrently on
-// one shared Detector; with pre-sized dsts the steady state performs no
-// heap allocations.
+// dst. Safe to call concurrently on one shared Detector; with
+// pre-sized dsts the steady state performs no heap allocations.
 func (d *Detector) DetectBatch(dsts [][]CellPred, frames []*synth.Frame) [][]CellPred {
 	if len(dsts) != len(frames) {
 		dsts = make([][]CellPred, len(frames))
@@ -160,14 +145,6 @@ func (d *Detector) DetectBatch(dsts [][]CellPred, frames []*synth.Frame) [][]Cel
 		return dsts
 	}
 	bs := d.weights.AcquireBatchScratch()
-	defer d.weights.ReleaseBatchScratch(bs)
-	// The vector scratch's staging buffer holds the frame context:
-	// FrameFeatureDim and CellInputDim coincide, so it is wide enough.
-	vs := d.weights.AcquireScratch()
-	defer d.weights.ReleaseScratch(vs)
-	ctx := vs.In(synth.FrameFeatureDim(d.featDim))
-
-	inDim, outDim := d.weights.InDim(), d.weights.OutDim()
 	start := 0
 	for start < len(frames) {
 		// Take whole frames until the chunk would exceed the row budget
@@ -181,36 +158,46 @@ func (d *Detector) DetectBatch(dsts [][]CellPred, frames []*synth.Frame) [][]Cel
 			rows += cells
 			end++
 		}
-		in := bs.In(rows, inDim)
-		r := 0
-		for j := start; j < end; j++ {
-			f := frames[j]
-			synth.FrameFeatureInto(ctx, f)
-			for c := 0; c < f.NumCells(); c++ {
-				synth.CellInput(in.Row(r), f, c, ctx)
-				r++
-			}
-		}
-		out := bs.Out(rows, outDim)
-		d.weights.InferBatch(out, in, bs)
-		r = 0
-		for j := start; j < end; j++ {
-			f := frames[j]
-			cells := f.NumCells()
-			if len(dsts[j]) != cells {
-				dsts[j] = make([]CellPred, cells)
-			}
-			for c := 0; c < cells; c++ {
-				orow := out.Row(r)
-				obj := 1 / (1 + math.Exp(-orow[0]))
-				classIdx := tensor.Vector(orow[1:]).Argmax()
-				dsts[j][c] = CellPred{Objectness: obj, Class: synth.Class(classIdx)}
-				r++
-			}
-		}
+		d.detectChunk(bs, dsts[start:end], frames[start:end], rows)
 		start = end
 	}
+	d.weights.ReleaseBatchScratch(bs)
 	return dsts
+}
+
+// detectChunk runs the head over the rows cells of frames as one batch
+// and decodes each cell's objectness (sigmoid) and class (argmax) into
+// dsts, resizing a frame's slice only when its length is wrong. The
+// cells are staged in bs's input matrix; the row just past them holds
+// the current frame's context descriptor (FrameFeatureDim and
+// CellInputDim coincide), so staging needs no buffer of its own.
+func (d *Detector) detectChunk(bs *nn.BatchScratch, dsts [][]CellPred, frames []*synth.Frame, rows int) {
+	inDim := d.weights.InDim()
+	ctx := bs.In(rows+1, inDim).Row(rows)
+	in := bs.In(rows, inDim)
+	r := 0
+	for _, f := range frames {
+		ctx = synth.FrameFeatureInto(ctx, f)
+		for c := 0; c < f.NumCells(); c++ {
+			synth.CellInput(in.Row(r), f, c, ctx)
+			r++
+		}
+	}
+	out := d.weights.InferBatch(bs.Out(rows, d.weights.OutDim()), in, bs)
+	r = 0
+	for j, f := range frames {
+		cells := f.NumCells()
+		if len(dsts[j]) != cells {
+			dsts[j] = make([]CellPred, cells)
+		}
+		for c := range dsts[j] {
+			orow := out.Row(r)
+			obj := 1 / (1 + math.Exp(-orow[0]))
+			classIdx := tensor.Vector(orow[1:]).Argmax()
+			dsts[j][c] = CellPred{Objectness: obj, Class: synth.Class(classIdx)}
+			r++
+		}
+	}
 }
 
 // EvaluateFrame scores the detector on one frame with cell-level

@@ -2,6 +2,7 @@ package nn
 
 import (
 	"fmt"
+	"math"
 
 	"anole/internal/tensor"
 )
@@ -27,17 +28,19 @@ func newBatchScratch(maxDim int) *BatchScratch {
 	return &BatchScratch{maxDim: maxDim}
 }
 
-// ensure grows the backing buffers to hold rows samples of the widest
-// layer.
+// ensure grows the ping-pong buffers to hold rows samples of the
+// widest layer.
 func (s *BatchScratch) ensure(rows int) {
-	need := rows * s.maxDim
-	if need <= cap(s.pingBuf) {
-		return
+	s.pingBuf = grow(s.pingBuf, rows*s.maxDim)
+	s.pongBuf = grow(s.pongBuf, rows*s.maxDim)
+}
+
+// grow returns buf when it can hold n elements, else a fresh buffer.
+func grow(buf []float64, n int) []float64 {
+	if n <= cap(buf) {
+		return buf
 	}
-	s.pingBuf = make([]float64, need)
-	s.pongBuf = make([]float64, need)
-	s.inBuf = make([]float64, need)
-	s.outBuf = make([]float64, need)
+	return make([]float64, n)
 }
 
 // view re-points one of the scratch's matrix headers at buf with the
@@ -51,23 +54,25 @@ func view(m *tensor.Matrix, buf []float64, rows, cols int) *tensor.Matrix {
 // callers assembling batch inputs (one sample per row) without
 // allocating per call. cols must not exceed the owning program's widest
 // layer. The matrix is distinct from the ping-pong and output buffers,
-// so it may be passed to InferBatch on the same BatchScratch.
+// so it may be passed to InferBatch on the same BatchScratch. Its
+// buffer grows to the largest rows × cols asked for, not to the widest
+// layer.
 func (s *BatchScratch) In(rows, cols int) *tensor.Matrix {
 	if cols > s.maxDim {
 		panic(fmt.Sprintf("nn: batch staging width %d exceeds program max %d", cols, s.maxDim))
 	}
-	s.ensure(rows)
+	s.inBuf = grow(s.inBuf, rows*cols)
 	return view(&s.inM, s.inBuf, rows, cols)
 }
 
 // Out returns the scratch's output matrix shaped rows × cols, suitable
 // as InferBatch's dst while the same scratch serves the intermediate
-// layers.
+// layers. Like In, its buffer grows only to the shapes asked for.
 func (s *BatchScratch) Out(rows, cols int) *tensor.Matrix {
 	if cols > s.maxDim {
 		panic(fmt.Sprintf("nn: batch output width %d exceeds program max %d", cols, s.maxDim))
 	}
-	s.ensure(rows)
+	s.outBuf = grow(s.outBuf, rows*cols)
 	return view(&s.outM, s.outBuf, rows, cols)
 }
 
@@ -93,9 +98,10 @@ func (w *Weights) ReleaseBatchScratch(s *BatchScratch) {
 // one from the program's pool. Dense layers execute as one
 // matrix-matrix product per layer (tensor.MatMulTInto against the
 // frozen out×in weight matrix), so a batch of B samples costs one GEMM
-// instead of B GEMVs. The batched kernel sums each dot product in the
-// same ascending order as MulVec, so per sample the result is
-// bit-identical to Infer.
+// instead of B GEMVs. This is the program's only execution path: Infer
+// is a one-row InferBatch, and the kernel sums each dot product in
+// ascending order exactly as MulVec does, so results match the
+// trainable Network bit for bit.
 func (w *Weights) InferBatch(dst, in *tensor.Matrix, s *BatchScratch) *tensor.Matrix {
 	return w.inferBatchThrough(len(w.layers), dst, in, s)
 }
@@ -114,12 +120,7 @@ func (w *Weights) inferBatchThrough(k int, dst, in *tensor.Matrix, s *BatchScrat
 		panic(fmt.Sprintf("nn: batch infer input dim %d, want %d", in.Cols, w.inDim))
 	}
 	rows := in.Rows
-	outDim := in.Cols
-	for i := 0; i < k; i++ {
-		if w.layers[i].w != nil {
-			outDim = w.layers[i].w.Rows
-		}
-	}
+	outDim := w.prefixOutDim(k, in.Cols)
 	if dst == nil || dst.Rows != rows || dst.Cols != outDim {
 		dst = tensor.NewMatrix(rows, outDim)
 	}
@@ -138,27 +139,27 @@ func (w *Weights) inferBatchThrough(k int, dst, in *tensor.Matrix, s *BatchScrat
 	front, back := &s.ping, &s.pong
 	for i := 0; i < k; i++ {
 		l := &w.layers[i]
-		last := i == k-1
-		var target *tensor.Matrix
+		// A dense layer followed by an activation runs as one step: the
+		// bias and the activation are applied in the same pass over the
+		// product.
+		var act layerKind
+		if l.w != nil && i+1 < k && w.layers[i+1].w == nil {
+			i++
+			act = w.layers[i].kind
+		}
+		cols := x.Cols
 		if l.w != nil {
-			if last {
-				target = dst
-			} else {
-				target = view(front, buf, rows, l.w.Rows)
-			}
+			cols = l.w.Rows
+		}
+		target := dst
+		if i < k-1 {
+			target = view(front, buf, rows, cols)
+		}
+		if l.w != nil {
 			tensor.MatMulTInto(target, x, l.w)
-			for r := 0; r < rows; r++ {
-				target.Row(r).AddScaled(1, l.b)
-			}
+			addBiasActivate(target.Data, l.b, act)
 		} else {
-			if last {
-				target = dst
-			} else {
-				target = view(front, buf, rows, x.Cols)
-			}
-			for j, v := range x.Data {
-				target.Data[j] = l.fn(v)
-			}
+			activate(target.Data, x.Data, l.kind)
 		}
 		x = target
 		buf, alt = alt, buf
@@ -168,4 +169,60 @@ func (w *Weights) inferBatchThrough(k int, dst, in *tensor.Matrix, s *BatchScrat
 		w.ReleaseBatchScratch(s)
 	}
 	return dst
+}
+
+// addBiasActivate adds the bias b to every row of the row-major data
+// and then applies the activation act (0 for none), in place. The
+// arithmetic is exactly a separate bias pass followed by a separate
+// activation layer: each element is rounded once after the add and then
+// mapped by the same function.
+func addBiasActivate(data []float64, b tensor.Vector, act layerKind) {
+	n := len(b)
+	if n == 0 {
+		return
+	}
+	for r := 0; r+n <= len(data); r += n {
+		row := data[r : r+n]
+		switch act {
+		case 0:
+			for j, bj := range b {
+				row[j] += bj
+			}
+		case kindReLU:
+			for j, bj := range b {
+				row[j] = reluFn(row[j] + bj)
+			}
+		case kindTanh:
+			for j, bj := range b {
+				row[j] = math.Tanh(row[j] + bj)
+			}
+		case kindSigmoid:
+			for j, bj := range b {
+				row[j] = sigmoidFn(row[j] + bj)
+			}
+		default:
+			panic(fmt.Sprintf("nn: unknown activation kind %d", act))
+		}
+	}
+}
+
+// activate writes the element-wise activation kind of src into dst.
+func activate(dst, src []float64, kind layerKind) {
+	dst = dst[:len(src)]
+	switch kind {
+	case kindReLU:
+		for j, v := range src {
+			dst[j] = reluFn(v)
+		}
+	case kindTanh:
+		for j, v := range src {
+			dst[j] = math.Tanh(v)
+		}
+	case kindSigmoid:
+		for j, v := range src {
+			dst[j] = sigmoidFn(v)
+		}
+	default:
+		panic(fmt.Sprintf("nn: unknown activation kind %d", kind))
+	}
 }

@@ -162,11 +162,11 @@ func ReadWeights(r io.Reader) (*Weights, error) {
 		}
 		switch layerKind(kind) {
 		case kindReLU:
-			layers = append(layers, wlayer{kind: kindReLU, fn: reluFn})
+			layers = append(layers, wlayer{kind: kindReLU})
 		case kindTanh:
-			layers = append(layers, wlayer{kind: kindTanh, fn: math.Tanh})
+			layers = append(layers, wlayer{kind: kindTanh})
 		case kindSigmoid:
-			layers = append(layers, wlayer{kind: kindSigmoid, fn: sigmoidFn})
+			layers = append(layers, wlayer{kind: kindSigmoid})
 		case kindDense, kindDenseQuant:
 			bits := 0
 			if layerKind(kind) == kindDenseQuant {

@@ -33,13 +33,12 @@ type Weights struct {
 }
 
 // wlayer is one frozen layer: a dense transform (w != nil) or an
-// element-wise activation (fn != nil).
+// element-wise activation (w == nil, selected by kind).
 type wlayer struct {
 	kind      layerKind
 	w         *tensor.Matrix // out × in, dense only
 	b         tensor.Vector
 	quantBits int
-	fn        func(float64) float64 // activation only
 }
 
 // Inferer is the one interface every executable model form satisfies:
@@ -62,7 +61,7 @@ func (n *Network) Freeze() *Weights {
 		case *Dense:
 			ls[i] = wlayer{kind: t.kind(), w: t.W.Clone(), b: t.B.Clone(), quantBits: t.quantBits}
 		case *activation:
-			ls[i] = wlayer{kind: t.tag, fn: t.fn}
+			ls[i] = wlayer{kind: t.tag}
 		default:
 			panic(fmt.Sprintf("nn: cannot freeze layer type %T", l))
 		}
@@ -163,38 +162,36 @@ func (w *Weights) WeightBytes() int64 {
 	return total
 }
 
-// Scratch is the per-execution working set for running a Weights program:
-// two ping-pong activation buffers plus caller-usable input/output
-// buffers, all preallocated to the widest layer. A Scratch belongs to one
-// goroutine at a time; acquire from the owning Weights (AcquireScratch)
-// or pass nil to Infer and let it borrow one from the pool.
+// Scratch is the per-execution working set for running a Weights
+// program on one sample: a BatchScratch plus two reusable one-row
+// matrix headers over Infer's in and dst, so a single-sample inference
+// runs the batch path as a batch of one without allocating. A Scratch
+// belongs to one goroutine at a time; acquire from the owning Weights
+// (AcquireScratch) or pass nil to Infer and let it borrow one from the
+// pool.
 type Scratch struct {
-	ping, pong tensor.Vector
-	in, out    tensor.Vector
+	batch         BatchScratch
+	inRow, outRow tensor.Matrix
 }
 
 func newScratch(maxDim int) *Scratch {
-	return &Scratch{
-		ping: tensor.NewVector(maxDim),
-		pong: tensor.NewVector(maxDim),
-		in:   tensor.NewVector(maxDim),
-		out:  tensor.NewVector(maxDim),
-	}
+	return &Scratch{batch: BatchScratch{maxDim: maxDim}}
 }
 
 // In returns the scratch's input staging buffer sliced to n elements,
 // for callers assembling model inputs without allocating per call. The
-// buffer is distinct from the ping-pong and output buffers, so it may be
-// passed to Infer on the same Scratch.
-func (s *Scratch) In(n int) tensor.Vector { return s.in[:n] }
+// buffer is distinct from the intermediate and output buffers, so it
+// may be passed to Infer on the same Scratch.
+func (s *Scratch) In(n int) tensor.Vector { return s.batch.In(1, n).Data }
 
-// Out returns the scratch's output buffer sliced to n elements, suitable
-// as Infer's dst while the same Scratch serves the intermediate layers.
-func (s *Scratch) Out(n int) tensor.Vector { return s.out[:n] }
+// Out returns the scratch's output buffer sliced to n elements,
+// suitable as Infer's dst while the same Scratch serves the
+// intermediate layers.
+func (s *Scratch) Out(n int) tensor.Vector { return s.batch.Out(1, n).Data }
 
 // AcquireScratch borrows a scratch sized for this program from the pool.
-// Pair with ReleaseScratch; holding one across many Infer calls (e.g. a
-// per-frame cell loop) keeps the steady state allocation-free.
+// Pair with ReleaseScratch; holding one across many Infer calls keeps
+// the steady state allocation-free.
 func (w *Weights) AcquireScratch() *Scratch {
 	return w.pool.Get().(*Scratch)
 }
@@ -210,7 +207,8 @@ func (w *Weights) ReleaseScratch(s *Scratch) {
 // allocating only when dst is nil or mis-sized. dst must not alias in.
 // s supplies the intermediate activation buffers; pass nil to borrow one
 // from the program's pool. The returned vector is dst: caller-owned, and
-// never aliased by later Infer calls.
+// never aliased by later Infer calls. Infer is InferBatch on a batch of
+// one row, so the two are bit-identical by construction.
 func (w *Weights) Infer(dst, in tensor.Vector, s *Scratch) tensor.Vector {
 	return w.inferThrough(len(w.layers), dst, in, s)
 }
@@ -228,55 +226,35 @@ func (w *Weights) inferThrough(k int, dst, in tensor.Vector, s *Scratch) tensor.
 	if w.inDim > 0 && len(in) != w.inDim {
 		panic(fmt.Sprintf("nn: infer input dim %d, want %d", len(in), w.inDim))
 	}
-	outDim := len(in)
-	for i := 0; i < k; i++ {
-		if w.layers[i].w != nil {
-			outDim = w.layers[i].w.Rows
-		}
-	}
+	outDim := w.prefixOutDim(k, len(in))
 	if len(dst) != outDim {
 		dst = tensor.NewVector(outDim)
 	}
-	if k == 0 {
-		copy(dst, in)
-		return dst
-	}
-	release := false
-	if s == nil {
+	release := s == nil
+	if release {
 		s = w.AcquireScratch()
-		release = true
 	}
-	x := in
-	buf, alt := s.ping, s.pong
-	for i := 0; i < k; i++ {
-		l := &w.layers[i]
-		last := i == k-1
-		var target tensor.Vector
-		if l.w != nil {
-			if last {
-				target = dst
-			} else {
-				target = buf[:l.w.Rows]
-			}
-			l.w.MulVec(target, x)
-			target.AddScaled(1, l.b)
-		} else {
-			if last {
-				target = dst
-			} else {
-				target = buf[:len(x)]
-			}
-			for j, v := range x {
-				target[j] = l.fn(v)
-			}
-		}
-		x = target
-		buf, alt = alt, buf
-	}
+	s.inRow = tensor.Matrix{Rows: 1, Cols: len(in), Data: in}
+	s.outRow = tensor.Matrix{Rows: 1, Cols: outDim, Data: dst}
+	w.inferBatchThrough(k, &s.outRow, &s.inRow, &s.batch)
+	// Drop the caller's buffers so a pooled scratch does not pin them.
+	s.inRow.Data, s.outRow.Data = nil, nil
 	if release {
 		w.ReleaseScratch(s)
 	}
 	return dst
+}
+
+// prefixOutDim is the output width of the first k layers given an
+// input of width in.
+func (w *Weights) prefixOutDim(k, in int) int {
+	out := in
+	for i := 0; i < k; i++ {
+		if w.layers[i].w != nil {
+			out = w.layers[i].w.Rows
+		}
+	}
+	return out
 }
 
 // Quantize returns a new Weights with every dense layer's parameters

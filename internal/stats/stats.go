@@ -442,13 +442,27 @@ func ArgmaxFloat(xs []float64) int {
 // RankDescending returns the indices of xs sorted by value descending,
 // breaking ties by lower index first so ranking is deterministic.
 func RankDescending(xs []float64) []int {
-	idx := make([]int, len(xs))
+	return RankDescendingInto(nil, xs)
+}
+
+// RankDescendingInto is RankDescending writing into dst, which is
+// reused when its capacity suffices, so a per-frame ranking needs no
+// allocation. It is a stable insertion sort: for up to 20 elements that
+// is exactly the algorithm sort.SliceStable runs, and for longer inputs
+// without NaN every stable sort yields the same order.
+func RankDescendingInto(dst []int, xs []float64) []int {
+	if cap(dst) < len(xs) {
+		dst = make([]int, len(xs))
+	}
+	idx := dst[:len(xs)]
 	for i := range idx {
 		idx[i] = i
 	}
-	sort.SliceStable(idx, func(a, b int) bool {
-		return xs[idx[a]] > xs[idx[b]]
-	})
+	for i := 1; i < len(idx); i++ {
+		for j := i; j > 0 && xs[idx[j]] > xs[idx[j-1]]; j-- {
+			idx[j], idx[j-1] = idx[j-1], idx[j]
+		}
+	}
 	return idx
 }
 

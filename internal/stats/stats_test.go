@@ -276,6 +276,36 @@ func TestRankDescendingStableTies(t *testing.T) {
 	}
 }
 
+// TestRankDescendingIntoMatchesSliceStable is the property test behind
+// the allocation-free ranking: on random scores drawn from a few levels
+// (so ties are common), for every n from 1 to 40, RankDescendingInto
+// must return exactly the order sort.SliceStable produces, whether dst
+// is nil, too short or reused with stale contents.
+func TestRankDescendingIntoMatchesSliceStable(t *testing.T) {
+	rng := xrand.New(78)
+	dst := make([]int, 3)
+	for trial := 0; trial < 200; trial++ {
+		for n := 1; n <= 40; n++ {
+			xs := make([]float64, n)
+			levels := 1 + rng.Intn(n)
+			for i := range xs {
+				xs[i] = float64(rng.Intn(levels)) / float64(levels)
+			}
+			want := make([]int, n)
+			for i := range want {
+				want[i] = i
+			}
+			sort.SliceStable(want, func(a, b int) bool { return xs[want[a]] > xs[want[b]] })
+			dst = RankDescendingInto(dst, xs)
+			for i := range want {
+				if dst[i] != want[i] {
+					t.Fatalf("n=%d xs=%v: RankDescendingInto %v, sort.SliceStable %v", n, xs, dst, want)
+				}
+			}
+		}
+	}
+}
+
 func TestQuantilePropertyBounds(t *testing.T) {
 	r := xrand.New(77)
 	if err := quick.Check(func(seed uint32) bool {

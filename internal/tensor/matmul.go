@@ -6,12 +6,20 @@ import (
 	"sync"
 )
 
-// This file holds the GEMM kernels behind the batched inference path:
-// MatMulInto (dst = a·b) and MatMulTInto (dst = a·bᵀ). Both reuse dst,
-// block the shared dimension for cache locality, and split large
-// products into row panels executed on a bounded package-level worker
-// pool. With a correctly-sized dst the steady state performs no heap
-// allocations, which is what lets nn.Weights.InferBatch stay 0-alloc.
+// This file holds the GEMM kernels: MatMulInto (dst = a·b) and
+// MatMulTInto (dst = a·bᵀ), the one kernel every inference in the
+// system runs on (nn.Weights.Infer is a one-row InferBatch). Both reuse
+// dst and split large products into row panels executed on a bounded
+// package-level worker pool. With a correctly-sized dst the steady
+// state performs no heap allocations, which is what lets
+// nn.Weights.InferBatch stay 0-alloc.
+//
+// Kernel contract: speed comes from blocking across independent
+// outputs, never from reassociating one dot product. Every output
+// element is summed by one accumulator in ascending k, exactly as the
+// naive triple loop does, so results are bit-identical to it and to
+// MulVec — which is what keeps profiled bundles and every reported
+// figure fixed when a kernel changes.
 
 const (
 	// kBlock is the shared-dimension tile: one a-row tile and the
@@ -72,10 +80,13 @@ func startMatMulPool() {
 }
 
 // dispatchPanels runs the kernel over dst's rows, in parallel when the
-// product is large enough to amortize the handoff.
+// product is large enough to amortize the handoff and more than one P
+// can run the panels (with one P the handoff is pure overhead). Panels
+// split rows, never a dot product, so the split leaves every output
+// element's bits unchanged.
 func dispatchPanels(dst, a, b *Matrix, inner int, transB bool) {
 	rows := dst.Rows
-	if int64(rows)*int64(dst.Cols)*int64(inner) < parallelFLOPs || rows < 2*minPanelRows {
+	if int64(rows)*int64(dst.Cols)*int64(inner) < parallelFLOPs || rows < 2*minPanelRows || runtime.GOMAXPROCS(0) < 2 {
 		if transB {
 			mulPanelT(dst, a, b, 0, rows)
 		} else {
@@ -135,39 +146,85 @@ func mulPanel(dst, a, b *Matrix, r0, r1 int) {
 
 // mulPanelT computes dst[r0:r1] = a[r0:r1]·bᵀ. Both operands stream
 // row-major, so each output element is a dot product of two contiguous
-// rows. The kernel is register-tiled four output columns wide: one pass
-// over the a-row feeds four independent accumulators, which amortizes
-// the a-row loads and breaks the add-latency chain. Each accumulator
-// still sums in ascending k with no reassociation, so every output
-// element is bit-identical to the naive reference (NaN/Inf included).
+// rows. The kernel is register-blocked across outputs: one pass over k
+// serves two a-rows × four b-rows, eight independent accumulators that
+// share every a and b load and hide the add latency of one chain behind
+// the others. Odd rows and cols%4 tails fall back to narrower blocks.
+// Blocking never splits a dot product: each accumulator sums its own
+// output in ascending k from zero, exactly as the naive triple loop
+// does, so every element is bit-identical to it (NaN/Inf included).
 func mulPanelT(dst, a, b *Matrix, r0, r1 int) {
 	n, kdim := dst.Cols, a.Cols
-	for i := r0; i < r1; i++ {
-		arow := a.Data[i*kdim : (i+1)*kdim]
-		orow := dst.Data[i*n : (i+1)*n]
+	i := r0
+	for ; i+2 <= r1; i += 2 {
+		a0 := a.Data[i*kdim : (i+1)*kdim]
+		a1 := a.Data[(i+1)*kdim : (i+2)*kdim][:len(a0)]
+		o0 := dst.Data[i*n : (i+1)*n]
+		o1 := dst.Data[(i+1)*n : (i+2)*n][:len(o0)]
 		o := 0
 		for ; o+4 <= n; o += 4 {
-			b0 := b.Data[o*kdim : (o+1)*kdim][:kdim]
-			b1 := b.Data[(o+1)*kdim : (o+2)*kdim][:kdim]
-			b2 := b.Data[(o+2)*kdim : (o+3)*kdim][:kdim]
-			b3 := b.Data[(o+3)*kdim : (o+4)*kdim][:kdim]
-			var s0, s1, s2, s3 float64
-			for k, av := range arow {
-				s0 += av * b0[k]
-				s1 += av * b1[k]
-				s2 += av * b2[k]
-				s3 += av * b3[k]
+			b0 := b.Data[o*kdim : (o+1)*kdim][:len(a0)]
+			b1 := b.Data[(o+1)*kdim : (o+2)*kdim][:len(a0)]
+			b2 := b.Data[(o+2)*kdim : (o+3)*kdim][:len(a0)]
+			b3 := b.Data[(o+3)*kdim : (o+4)*kdim][:len(a0)]
+			var s00, s01, s02, s03, s10, s11, s12, s13 float64
+			for k, x0 := range a0 {
+				x1 := a1[k]
+				y0, y1, y2, y3 := b0[k], b1[k], b2[k], b3[k]
+				s00 += x0 * y0
+				s01 += x0 * y1
+				s02 += x0 * y2
+				s03 += x0 * y3
+				s10 += x1 * y0
+				s11 += x1 * y1
+				s12 += x1 * y2
+				s13 += x1 * y3
 			}
-			orow[o], orow[o+1], orow[o+2], orow[o+3] = s0, s1, s2, s3
+			o0[o], o0[o+1], o0[o+2], o0[o+3] = s00, s01, s02, s03
+			o1[o], o1[o+1], o1[o+2], o1[o+3] = s10, s11, s12, s13
 		}
 		for ; o < n; o++ {
-			brow := b.Data[o*kdim : (o+1)*kdim][:kdim]
-			var sum float64
-			for k, av := range arow {
-				sum += av * brow[k]
+			brow := b.Data[o*kdim : (o+1)*kdim][:len(a0)]
+			var s0, s1 float64
+			for k, x0 := range a0 {
+				y := brow[k]
+				s0 += x0 * y
+				s1 += a1[k] * y
 			}
-			orow[o] = sum
+			o0[o], o1[o] = s0, s1
 		}
+	}
+	if i < r1 {
+		mulRowT(dst.Data[i*n:(i+1)*n], a.Data[i*kdim:(i+1)*kdim], b.Data)
+	}
+}
+
+// mulRowT computes one output row orow = arow·bᵀ, four b-rows per pass
+// (the odd-row tail of mulPanelT; also the whole of a one-row product).
+func mulRowT(orow, arow, b []float64) {
+	kdim, n := len(arow), len(orow)
+	o := 0
+	for ; o+4 <= n; o += 4 {
+		b0 := b[o*kdim : (o+1)*kdim][:len(arow)]
+		b1 := b[(o+1)*kdim : (o+2)*kdim][:len(arow)]
+		b2 := b[(o+2)*kdim : (o+3)*kdim][:len(arow)]
+		b3 := b[(o+3)*kdim : (o+4)*kdim][:len(arow)]
+		var s0, s1, s2, s3 float64
+		for k, x := range arow {
+			s0 += x * b0[k]
+			s1 += x * b1[k]
+			s2 += x * b2[k]
+			s3 += x * b3[k]
+		}
+		orow[o], orow[o+1], orow[o+2], orow[o+3] = s0, s1, s2, s3
+	}
+	for ; o < n; o++ {
+		brow := b[o*kdim : (o+1)*kdim][:len(arow)]
+		var sum float64
+		for k, x := range arow {
+			sum += x * brow[k]
+		}
+		orow[o] = sum
 	}
 }
 

@@ -80,9 +80,8 @@ func matricesMatch(t *testing.T, got, want *Matrix, tol float64, label string) {
 
 // TestMatMulIntoMatchesNaive sweeps random shapes — including the empty
 // and single-row/column edge cases — and checks both kernels against the
-// naive triple loop. The straight path must agree bitwise (same
-// summation order); the transposed path reassociates (unrolled dot), so
-// it gets a 1e-12 relative tolerance.
+// naive triple loop. Both must agree bitwise: the kernels block across
+// outputs but keep each dot product's ascending summation order.
 func TestMatMulIntoMatchesNaive(t *testing.T) {
 	rng := xrand.New(42)
 	dims := []int{0, 1, 2, 3, 5, 8, 17, 33, 64}
@@ -99,7 +98,7 @@ func TestMatMulIntoMatchesNaive(t *testing.T) {
 		bt := randMatrix(rng, n, k)
 		wantT := naiveMatMulT(a, bt)
 		gotT := MatMulTInto(nil, a, bt)
-		matricesMatch(t, gotT, wantT, 1e-12, "MatMulTInto")
+		matricesMatch(t, gotT, wantT, 0, "MatMulTInto")
 	}
 }
 
@@ -113,7 +112,7 @@ func TestMatMulParallelPathMatchesNaive(t *testing.T) {
 	matricesMatch(t, MatMulInto(nil, a, b), naiveMatMul(a, b), 0, "parallel MatMulInto")
 
 	bt := randMatrix(rng, 90, 70)
-	matricesMatch(t, MatMulTInto(nil, a, bt), naiveMatMulT(a, bt), 1e-12, "parallel MatMulTInto")
+	matricesMatch(t, MatMulTInto(nil, a, bt), naiveMatMulT(a, bt), 0, "parallel MatMulTInto")
 }
 
 // TestMatMulNaNInfPropagation pins IEEE semantics: a zero row times a
@@ -131,7 +130,7 @@ func TestMatMulNaNInfPropagation(t *testing.T) {
 
 	bt := FromRows([][]float64{{math.NaN(), math.Inf(1)}, {1, math.Inf(-1)}})
 	wantT := naiveMatMulT(a, bt)
-	matricesMatch(t, MatMulTInto(nil, a, bt), wantT, 1e-12, "NaN/Inf MatMulTInto")
+	matricesMatch(t, MatMulTInto(nil, a, bt), wantT, 0, "NaN/Inf MatMulTInto")
 }
 
 // TestMatMulIntoReusesDst pins the whole point of the Into form: a
@@ -154,7 +153,7 @@ func TestMatMulIntoReusesDst(t *testing.T) {
 	if out := MatMulTInto(dstT, a, bt); out != dstT {
 		t.Fatal("MatMulTInto reallocated a correctly-sized dst")
 	}
-	matricesMatch(t, dstT, naiveMatMulT(a, bt), 1e-12, "reused dstT")
+	matricesMatch(t, dstT, naiveMatMulT(a, bt), 0, "reused dstT")
 
 	// Mis-sized dst is replaced, not written out of bounds.
 	small := NewMatrix(1, 1)
@@ -224,9 +223,7 @@ func mustPanic(t *testing.T, label string, f func()) {
 
 // FuzzMatMulKernels drives both kernels against the naive reference with
 // fuzzer-chosen shapes, seeds and special-value injection (NaN, ±Inf,
-// zeros). The straight path must be bitwise identical; the transposed
-// path must match within 1e-12 relative on finite values and agree on
-// NaN/Inf placement.
+// zeros). Both paths must be bitwise identical to it.
 func FuzzMatMulKernels(f *testing.F) {
 	f.Add(uint64(1), 3, 4, 5, uint8(0))
 	f.Add(uint64(2), 0, 3, 2, uint8(1))
@@ -277,26 +274,83 @@ func FuzzMatMulKernels(f *testing.F) {
 		gotT := MatMulTInto(nil, a, bt)
 		for i := range wantT.Data {
 			w, g := wantT.Data[i], gotT.Data[i]
-			switch {
-			case math.IsNaN(w):
-				if !math.IsNaN(g) {
-					t.Fatalf("MatMulTInto element %d = %v, want NaN", i, g)
-				}
-			case math.IsInf(w, 0):
-				// Reassociation can turn a same-signed-Inf sum into the
-				// same Inf only; a sign flip would be a kernel bug.
-				if g != w && !math.IsNaN(g) {
-					t.Fatalf("MatMulTInto element %d = %v, want %v", i, g, w)
-				}
-			default:
-				scale := math.Abs(w)
-				if scale < 1 {
-					scale = 1
-				}
-				if math.Abs(g-w) > 1e-12*scale {
-					t.Fatalf("MatMulTInto element %d = %v, want %v", i, g, w)
-				}
+			if w != g && !(math.IsNaN(w) && math.IsNaN(g)) {
+				t.Fatalf("MatMulTInto element %d = %v, want %v (bitwise contract)", i, g, w)
 			}
 		}
 	})
+}
+
+// sameBits reports whether got and want agree bit for bit, any NaN
+// matching any NaN (payloads are not part of the contract).
+func sameBits(got, want float64) bool {
+	if math.IsNaN(want) {
+		return math.IsNaN(got)
+	}
+	return math.Float64bits(got) == math.Float64bits(want)
+}
+
+// tileMatrix is randMatrix with, when special is set, one NaN, one +Inf
+// and one -Inf planted at random positions.
+func tileMatrix(rng *xrand.RNG, rows, cols int, special bool) *Matrix {
+	m := randMatrix(rng, rows, cols)
+	if special && len(m.Data) > 0 {
+		for _, v := range []float64{math.NaN(), math.Inf(1), math.Inf(-1)} {
+			m.Data[rng.Intn(len(m.Data))] = v
+		}
+	}
+	return m
+}
+
+// TestMatMulTTileTails sweeps the register tile's edges: the 2×4 block,
+// the odd-row tail, every cols%4 remainder and short, single and
+// unaligned shared dimensions, with and without NaN/±Inf, through the
+// serial panel path and — for the tall products, when more than one P
+// is available (go test -cpu 2,4) — the parallel one. Every element
+// must equal the naive reference bit for bit.
+func TestMatMulTTileTails(t *testing.T) {
+	rng := xrand.New(91)
+	for _, rows := range []int{1, 2, 3, 5, 301} {
+		for _, cols := range []int{1, 2, 3, 4, 5, 6, 7, 8, 65, 66, 67} {
+			for _, k := range []int{0, 1, 17} {
+				for _, special := range []bool{false, true} {
+					a := tileMatrix(rng, rows, k, special)
+					b := tileMatrix(rng, cols, k, special)
+					want := naiveMatMulT(a, b)
+					got := MatMulTInto(nil, a, b)
+					for i := range want.Data {
+						if !sameBits(got.Data[i], want.Data[i]) {
+							t.Fatalf("%dx%d·(%dx%d)ᵀ special=%v: element %d = %v, want %v",
+								rows, k, cols, k, special, i, got.Data[i], want.Data[i])
+						}
+					}
+				}
+			}
+		}
+	}
+}
+
+// TestMulVecBlockTails checks MulVec's four-row block and its tail
+// (rows%4 ≠ 0), with and without NaN/±Inf, against one plain dot
+// product per row, bit for bit.
+func TestMulVecBlockTails(t *testing.T) {
+	rng := xrand.New(92)
+	for _, rows := range []int{1, 2, 3, 4, 5, 6, 7, 9, 13} {
+		for _, cols := range []int{0, 1, 17} {
+			for _, special := range []bool{false, true} {
+				m := tileMatrix(rng, rows, cols, special)
+				v := Vector(tileMatrix(rng, 1, cols, special).Data)
+				got := m.MulVec(nil, v)
+				for i := 0; i < rows; i++ {
+					var want float64
+					for j := 0; j < cols; j++ {
+						want += m.At(i, j) * v[j]
+					}
+					if !sameBits(got[i], want) {
+						t.Fatalf("%dx%d special=%v: row %d = %v, want %v", rows, cols, special, i, got[i], want)
+					}
+				}
+			}
+		}
+	}
 }

@@ -236,7 +236,10 @@ func (m *Matrix) AddScaled(alpha float64, other *Matrix) {
 
 // MulVec computes dst = m * v for a column vector v of length Cols,
 // writing into dst of length Rows (allocating when dst is nil or
-// mis-sized) and returning dst.
+// mis-sized) and returning dst. Four output rows share each pass over
+// v; every row still sums in ascending column order from zero, so the
+// result is bit-identical to one dot product per row (and to
+// MatMulTInto with v as a one-row a).
 func (m *Matrix) MulVec(dst, v Vector) Vector {
 	if len(v) != m.Cols {
 		panic(fmt.Sprintf("tensor: MulVec got %d, want %d", len(v), m.Cols))
@@ -244,11 +247,27 @@ func (m *Matrix) MulVec(dst, v Vector) Vector {
 	if len(dst) != m.Rows {
 		dst = NewVector(m.Rows)
 	}
-	for i := 0; i < m.Rows; i++ {
-		row := m.Data[i*m.Cols : (i+1)*m.Cols]
+	cols := m.Cols
+	i := 0
+	for ; i+4 <= m.Rows; i += 4 {
+		r0 := m.Data[i*cols : (i+1)*cols][:len(v)]
+		r1 := m.Data[(i+1)*cols : (i+2)*cols][:len(v)]
+		r2 := m.Data[(i+2)*cols : (i+3)*cols][:len(v)]
+		r3 := m.Data[(i+3)*cols : (i+4)*cols][:len(v)]
+		var s0, s1, s2, s3 float64
+		for j, x := range v {
+			s0 += r0[j] * x
+			s1 += r1[j] * x
+			s2 += r2[j] * x
+			s3 += r3[j] * x
+		}
+		dst[i], dst[i+1], dst[i+2], dst[i+3] = s0, s1, s2, s3
+	}
+	for ; i < m.Rows; i++ {
+		row := m.Data[i*cols : (i+1)*cols][:len(v)]
 		var sum float64
-		for j, x := range row {
-			sum += x * v[j]
+		for j, x := range v {
+			sum += row[j] * x
 		}
 		dst[i] = sum
 	}
