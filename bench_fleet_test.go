@@ -146,7 +146,7 @@ func BenchmarkFleet_MixedPlanVsUniform(b *testing.B) {
 }
 
 // BenchmarkFleet_BatchedMixed drives the same 100-device mix through
-// the batched event loop (streams grouped per resolved bundle) and
+// the batched tick pipeline (streams grouped per resolved bundle) and
 // reports wall-clock throughput — the heterogeneous companion to
 // BenchmarkMultiStream_BatchCurve.
 func BenchmarkFleet_BatchedMixed(b *testing.B) {

@@ -67,7 +67,7 @@ func BenchmarkMultiStream_CacheSweep(b *testing.B) {
 					mrt, err := core.NewMultiRuntime(l.Bundle, core.MultiRuntimeConfig{
 						Streams:    streams,
 						CacheSlots: slots,
-						Device:     &device.JetsonTX2NX,
+						Fleet:      device.UniformFleet(device.JetsonTX2NX, streams),
 					})
 					if err != nil {
 						b.Fatal(err)
@@ -95,7 +95,7 @@ func BenchmarkMultiStream_CacheSweep(b *testing.B) {
 }
 
 // BenchmarkMultiStream_BatchCurve is the streams-vs-throughput curve of
-// the batched event loop: stream counts from 64 to 1024, batching on
+// the tick pipeline: stream counts from 64 to 1024, batching on
 // and off, all against a wide-open pre-warmed cache so the curve
 // isolates execution strategy from cache contention. Reported metrics:
 // wall-clock per-frame latency and aggregate throughput on the host.
@@ -173,7 +173,7 @@ func BenchmarkMultiStream_VsSequential(b *testing.B) {
 		mrt, err := core.NewMultiRuntime(l.Bundle, core.MultiRuntimeConfig{
 			Streams:    streams,
 			CacheSlots: slots,
-			Device:     &device.JetsonTX2NX,
+			Fleet:      device.UniformFleet(device.JetsonTX2NX, streams),
 		})
 		if err != nil {
 			b.Fatal(err)

@@ -71,7 +71,7 @@ func nominalFrameLatency(tb testing.TB, fx testutil.Fixture, streams, perStream 
 	mrt, err := core.NewMultiRuntime(fx.Bundle, core.MultiRuntimeConfig{
 		Streams:    streams,
 		CacheSlots: fx.Bundle.NumModels(),
-		Device:     &device.JetsonTX2NX,
+		Fleet:      device.UniformFleet(device.JetsonTX2NX, streams),
 	})
 	if err != nil {
 		tb.Fatal(err)
@@ -109,7 +109,7 @@ func runSurge(tb testing.TB, fx testutil.Fixture, surgeStreams, perStream int, d
 	mrt, err := core.NewMultiRuntime(fx.Bundle, core.MultiRuntimeConfig{
 		Streams:    surgeStreams,
 		CacheSlots: fx.Bundle.NumModels(),
-		Device:     &device.JetsonTX2NX,
+		Fleet:      device.UniformFleet(device.JetsonTX2NX, surgeStreams),
 		Thermal:    surgeThermal(),
 		Deadline:   deadline,
 		Metrics:    reg,
@@ -209,7 +209,7 @@ func TestPressureNominalBatchedBitIdentical(t *testing.T) {
 		mrt, err := core.NewMultiRuntime(fx.Bundle, core.MultiRuntimeConfig{
 			Streams:    streams,
 			CacheSlots: 3,
-			Device:     &device.JetsonTX2NX,
+			Fleet:      device.UniformFleet(device.JetsonTX2NX, streams),
 			Batch:      batch,
 			Deadline:   deadline,
 		})
@@ -258,7 +258,7 @@ func linkedFleet(tb testing.TB, fx testutil.Fixture, streams, slots int, seed ui
 	mrt, err := core.NewMultiRuntime(fx.Bundle, core.MultiRuntimeConfig{
 		Streams:    streams,
 		CacheSlots: slots,
-		Device:     &device.JetsonTX2NX,
+		Fleet:      device.UniformFleet(device.JetsonTX2NX, streams),
 		Prefetch:   &prefetch.Config{Fetcher: lf, TopK: 2},
 	})
 	if err != nil {

@@ -807,7 +807,7 @@ func runMulti(w io.Writer, bundle *core.Bundle, profile device.Profile, streams,
 	mcfg := core.MultiRuntimeConfig{
 		Streams:    streams,
 		CacheSlots: cache,
-		Device:     &profile,
+		Fleet:      device.UniformFleet(profile, streams),
 		Prefetch:   pfCfg,
 		Metrics:    reg,
 		Tracer:     spans,
@@ -818,7 +818,6 @@ func runMulti(w io.Writer, bundle *core.Bundle, profile device.Profile, streams,
 	}
 	if ro.Fleet != nil {
 		mcfg.Fleet = ro.Fleet
-		mcfg.Device = nil
 	}
 	if ro.Plan {
 		mcfg.Plan = &core.PlanConfig{}
@@ -899,16 +898,16 @@ func runMulti(w io.Writer, bundle *core.Bundle, profile device.Profile, streams,
 			tracers[s] = trace.NewWriter(tf)
 			defer tracers[s].Flush()
 		}
-		// Observers run concurrently across streams but sequentially
-		// within one, and each stream writes only its own file.
+		// Observers run serially in (tick, stream) order; each stream
+		// writes its own file.
 		obs = func(stream int, f *synth.Frame, res core.FrameResult) error {
 			return tracers[stream].Record(bundle, f, res)
 		}
 	}
 
-	mode := fmt.Sprintf("%d workers", mrt.Workers())
+	mode := "unbatched"
 	if batch {
-		mode = "batched"
+		mode = fmt.Sprintf("batched, %d detect workers", mrt.Workers())
 	}
 	platform := profile.Name
 	if ro.Fleet != nil {

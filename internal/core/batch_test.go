@@ -46,7 +46,7 @@ func TestMultiRuntimeBatchedSingleStreamMatchesRuntime(t *testing.T) {
 			Streams:          1,
 			CacheSlots:       3,
 			SwitchHysteresis: hysteresis,
-			Device:           &device.JetsonTX2NX,
+			Fleet:            device.UniformFleet(device.JetsonTX2NX, 1),
 			Batch:            true,
 		})
 		if err != nil {
@@ -95,7 +95,7 @@ func TestMultiRuntimeBatchedMatchesUnbatched(t *testing.T) {
 			CacheSlots:       fx.Bundle.NumModels(),
 			CacheShards:      1,
 			SwitchHysteresis: 2,
-			Device:           &device.JetsonTX2NX,
+			Fleet:            device.UniformFleet(device.JetsonTX2NX, streams),
 			Batch:            batch,
 		})
 		if err != nil {
@@ -348,7 +348,7 @@ func TestMultiRuntimeBatchedStressMatchesSequential(t *testing.T) {
 		CacheSlots:       slots,
 		CacheShards:      1,
 		SwitchHysteresis: 2,
-		Device:           &device.JetsonTX2NX,
+		Fleet:            device.UniformFleet(device.JetsonTX2NX, streams),
 		Batch:            true,
 		MaxBatch:         256,
 	})

@@ -50,47 +50,6 @@ func repertoireBytes(b *core.Bundle) int64 {
 	return total
 }
 
-// TestMultiRuntimeDeviceShimMatchesFleet is the back-compat guarantee:
-// the deprecated single-profile Device field must behave exactly like
-// an explicit uniform Fleet of the same profile — frame-for-frame
-// results and aggregate stats bit-identical on the same input.
-func TestMultiRuntimeDeviceShimMatchesFleet(t *testing.T) {
-	fx := testutil.Shared(t)
-	const streams, perStream = 4, 60
-	frameSets := streamFrames(t, streams, perStream)
-
-	run := func(cfg core.MultiRuntimeConfig) ([][]core.FrameResult, core.RunStats) {
-		cfg.Streams = streams
-		cfg.CacheSlots = 4
-		cfg.SwitchHysteresis = 2
-		m, err := core.NewMultiRuntime(fx.Bundle, cfg)
-		if err != nil {
-			t.Fatal(err)
-		}
-		defer m.Close()
-		results, err := m.ProcessStreams(frameSets, nil)
-		if err != nil {
-			t.Fatal(err)
-		}
-		return results, m.Stats()
-	}
-
-	oldResults, oldStats := run(core.MultiRuntimeConfig{Device: &device.JetsonTX2NX})
-	newResults, newStats := run(core.MultiRuntimeConfig{Fleet: device.UniformFleet(device.JetsonTX2NX, streams)})
-
-	if !sameRunStats(oldStats, newStats) {
-		t.Fatalf("aggregate stats diverged:\nDevice shim %+v\nFleet       %+v", oldStats, newStats)
-	}
-	for s := 0; s < streams; s++ {
-		for i := range oldResults[s] {
-			if oldResults[s][i] != newResults[s][i] {
-				t.Fatalf("stream %d frame %d diverged:\nDevice shim %+v\nFleet       %+v",
-					s, i, oldResults[s][i], newResults[s][i])
-			}
-		}
-	}
-}
-
 // TestMultiRuntimeMixedFleetBatchedMatchesUnbatched extends the batch
 // equivalence harness to a heterogeneous fleet: six streams split
 // across Nano, TX2 NX and laptop profiles, batch on vs. off, one

@@ -6,6 +6,7 @@ import (
 
 	"anole/internal/core"
 	"anole/internal/device"
+	"anole/internal/synth"
 	"anole/internal/testutil"
 )
 
@@ -22,7 +23,7 @@ func TestMultiRuntimeThermalThrottlingRaisesLatency(t *testing.T) {
 		m, err := core.NewMultiRuntime(fx.Bundle, core.MultiRuntimeConfig{
 			Streams:    streams,
 			CacheSlots: 3,
-			Device:     &device.JetsonTX2NX,
+			Fleet:      device.UniformFleet(device.JetsonTX2NX, streams),
 			Thermal:    th,
 		})
 		if err != nil {
@@ -72,7 +73,7 @@ func TestMultiRuntimeGPUMemoryBecomesByteCapacity(t *testing.T) {
 	m, err := core.NewMultiRuntime(fx.Bundle, core.MultiRuntimeConfig{
 		Streams:    2,
 		CacheSlots: 3,
-		Device:     &device.JetsonTX2NX,
+		Fleet:      device.UniformFleet(device.JetsonTX2NX, 2),
 	})
 	if err != nil {
 		t.Fatal(err)
@@ -114,7 +115,7 @@ func TestMultiRuntimeSwapPurgeByteAccounting(t *testing.T) {
 	m, err := core.NewMultiRuntime(fx.Bundle, core.MultiRuntimeConfig{
 		Streams:    2,
 		CacheSlots: fx.Bundle.NumModels() + 2,
-		Device:     &device.JetsonTX2NX,
+		Fleet:      device.UniformFleet(device.JetsonTX2NX, 2),
 	})
 	if err != nil {
 		t.Fatal(err)
@@ -176,6 +177,66 @@ func TestMultiRuntimeSwapPurgeByteAccounting(t *testing.T) {
 	for _, k := range m.Cache().Keys() {
 		if sizesOf(fx.Bundle)[k] == 0 {
 			t.Fatalf("non-bundle key %q survived the purge", k)
+		}
+	}
+}
+
+// TestMultiRuntimePressureFrameErrorQuarantines pins error-to-quarantine
+// under the pressure machinery in both chunkings: one stream fed frames
+// of the wrong feature dimension is quarantined instead of aborting the
+// run, every offered frame gets a terminal verdict, the other streams
+// are served, the observer sees every frame in (tick, stream) order,
+// and batched and unbatched runs return identical results.
+func TestMultiRuntimePressureFrameErrorQuarantines(t *testing.T) {
+	fx := testutil.Shared(t)
+	const streams, perStream, bad = 4, 30, 2
+	frameSets := streamFrames(t, streams, perStream)
+	for i := range frameSets[bad] {
+		frameSets[bad][i] = &synth.Frame{}
+	}
+	run := func(batch bool) [][]core.FrameResult {
+		m, err := core.NewMultiRuntime(fx.Bundle, core.MultiRuntimeConfig{
+			Streams:    streams,
+			CacheSlots: 3,
+			Batch:      batch,
+			Pressure:   &core.PressureConfig{},
+		})
+		if err != nil {
+			t.Fatal(err)
+		}
+		defer m.Close()
+		calls := 0
+		results, err := m.ProcessStreams(frameSets, func(stream int, _ *synth.Frame, _ core.FrameResult) error {
+			if tick, want := calls/streams, calls%streams; stream != want {
+				t.Errorf("batch=%v: observer call %d (tick %d) for stream %d, want %d", batch, calls, tick, stream, want)
+			}
+			calls++
+			return nil
+		})
+		if err != nil {
+			t.Fatalf("batch=%v: %v", batch, err)
+		}
+		if calls != streams*perStream {
+			t.Fatalf("batch=%v: observer saw %d frames, want %d", batch, calls, streams*perStream)
+		}
+		if ps := m.PressureStats(); ps.QuarantinedFrames != perStream || ps.Quarantines == 0 {
+			t.Fatalf("batch=%v: pressure stats %+v, want %d quarantined frames", batch, ps, perStream)
+		}
+		return results
+	}
+	unbatched, batched := run(false), run(true)
+	for s := range unbatched {
+		want := core.VerdictServed
+		if s == bad {
+			want = core.VerdictQuarantined
+		}
+		for i := range unbatched[s] {
+			if unbatched[s][i] != batched[s][i] {
+				t.Fatalf("stream %d frame %d: unbatched %+v, batched %+v", s, i, unbatched[s][i], batched[s][i])
+			}
+			if v := unbatched[s][i].Verdict; v != want {
+				t.Fatalf("stream %d frame %d: verdict %v, want %v", s, i, v, want)
+			}
 		}
 	}
 }

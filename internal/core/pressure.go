@@ -51,6 +51,12 @@ func (v FrameVerdict) String() string {
 	}
 }
 
+// served reports whether the frame ran the pipeline and a model served
+// it (VerdictServed or VerdictDowngraded).
+func (v FrameVerdict) served() bool {
+	return v == VerdictServed || v == VerdictDowngraded
+}
+
 // PressureConfig tunes the overload-survival machinery; every field's
 // zero value selects the documented default, so &PressureConfig{}
 // enables the monitor and watchdog with defaults (the deadline
@@ -175,47 +181,14 @@ func disposedResult(v FrameVerdict) FrameResult {
 	return FrameResult{Desired: -1, Used: -1, RunnerUp: -1, Verdict: v}
 }
 
-// processFrameShed is ProcessFrame under a shed-ladder rung. Rung
-// ShedNone is exactly ProcessFrame (bit-for-bit — this wrapper adds
-// nothing to the nominal path). Higher rungs degrade in order: suppress
-// prefetch planning, serve the smallest resident model without link
-// traffic, drop the frame outright.
-func (r *Runtime) processFrameShed(f *synth.Frame, rung pressure.Rung) (FrameResult, error) {
-	if rung <= pressure.ShedNone {
-		return r.ProcessFrame(f)
+// dropFrame is the ShedDrop disposal of one frame. The link clock still
+// advances — frame time passes whether or not the device serves — but no
+// decision, cache, or detector work runs and no selection state moves.
+func (r *Runtime) dropFrame() {
+	if r.pf != nil {
+		r.pf.Tick()
 	}
-	if err := r.validateFrame(f); err != nil {
-		return FrameResult{}, err
-	}
-	if rung >= pressure.ShedDrop {
-		// Terminal drop. The link clock still advances — frame time
-		// passes whether or not the device serves — but no decision,
-		// cache, or detector work runs and no selection state moves.
-		if r.pf != nil {
-			r.pf.Tick()
-		}
-		r.stats.ShedFrames++
-		return disposedResult(VerdictShed), nil
-	}
-	var res FrameResult
-	seq := r.beginFrame()
-	r.computeDecision(f)
-	rank := r.stageDecide(seq, &res)
-	if !(rung >= pressure.ShedDowngrade && r.resolveDowngrade(f, seq, &res)) {
-		// Rung 1 (or nothing resident to downgrade onto): the normal
-		// resolve path runs, link stalls and all.
-		if err := r.stageResolve(f, seq, rank, &res); err != nil {
-			return FrameResult{}, err
-		}
-	}
-	detectDur := r.detectAccount(f, &res)
-	r.predsBuf = r.bundle.Detectors[res.Used].DetectFrame(r.predsBuf, f)
-	r.finishDetect(f, seq, detectDur, &res)
-	// Every rung ≥ ShedPrefetch suppresses background planning.
-	r.planSuppressed = true
-	r.stageFinish(&res)
-	r.planSuppressed = false
-	return res, nil
+	r.stats.ShedFrames++
 }
 
 // resolveDowngrade is the rung-2 replacement for stageResolve: serve
@@ -263,93 +236,52 @@ func (r *Runtime) resolveDowngrade(f *synth.Frame, seq int64, res *FrameResult) 
 	return true
 }
 
-// processTickPressure is the pressure-aware tick dispatch: quarantined
-// streams' frames are disposed first (the tick barrier never waits on
-// a dead stream), then the live set runs under the controller's
-// current rung — the untouched nominal paths at ShedNone, the shed
-// ladder otherwise. Frame errors quarantine the stream instead of
-// aborting the fleet.
-func (m *MultiRuntime) processTickPressure(tick int, ready []int, streams [][]*synth.Frame, results [][]FrameResult, obs StreamObserver) error {
+// quarantined reports whether stream i is quarantined (never without
+// the pressure machinery).
+func (ps *pressureState) quarantined(i int) bool {
+	return ps != nil && ps.wd.Quarantined(i)
+}
+
+// admitTick reads the shed rung once for the tick and, at ShedDrop,
+// picks the probe stream: one live stream per tick, round-robin, still
+// serves (downgraded) so the deadline controller keeps receiving
+// sojourn samples and can observe recovery — without the probe a
+// fully-dropping fleet would never relax. Returns (ShedNone, -1)
+// without the pressure machinery.
+func (m *MultiRuntime) admitTick(ready []int) (rung pressure.Rung, probe int) {
 	ps := m.press
+	if ps == nil {
+		return pressure.ShedNone, -1
+	}
+	rung = ps.ctl.Rung()
+	if rung < pressure.ShedDrop {
+		return rung, -1
+	}
 	ps.live = ps.live[:0]
 	for _, i := range ready {
 		if !ps.wd.Quarantined(i) {
 			ps.live = append(ps.live, i)
-			continue
 		}
-		res := disposedResult(VerdictQuarantined)
-		m.streams[i].stats.QuarantinedFrames++
-		ps.mon.NoteQuarantinedFrame()
-		if obs != nil {
-			if err := obs(i, streams[i][tick], res); err != nil {
-				return fmt.Errorf("core: stream %d observer: %w", i, err)
-			}
-		}
-		results[i][tick] = res
 	}
-	rung := ps.ctl.Rung()
-	if rung == pressure.ShedNone {
-		if m.batch {
-			// Nominal: the batched path runs untouched, so batched and
-			// unbatched stay bit-identical. (A frame error here aborts
-			// as it always has; error-to-quarantine applies on the
-			// serial paths.)
-			return m.processTickBatched(tick, ps.live, streams, results, obs)
-		}
-		return m.processTickGuarded(tick, ps.live, pressure.ShedNone, streams, results, obs)
+	if len(ps.live) == 0 {
+		return rung, -1
 	}
-	return m.processTickGuarded(tick, ps.live, rung, streams, results, obs)
+	probe = ps.live[ps.probeRR%len(ps.live)]
+	ps.probeRR++
+	return rung, probe
 }
 
-// processTickGuarded runs one tick's live frames serially under rung,
-// converting frame errors into stream quarantines. At ShedDrop one
-// probe stream per tick (round-robin) still serves — downgraded — so
-// the deadline controller keeps receiving sojourn samples and can
-// observe recovery; without the probe a fully-dropping fleet would
-// never relax.
-func (m *MultiRuntime) processTickGuarded(tick int, live []int, rung pressure.Rung, streams [][]*synth.Frame, results [][]FrameResult, obs StreamObserver) error {
-	ps := m.press
-	probe := -1
-	if rung >= pressure.ShedDrop && len(live) > 0 {
-		probe = live[ps.probeRR%len(live)]
-		ps.probeRR++
+// noteShed counts one frame the shed ladder touched, under the rung that
+// applied to it in the end. Quarantined frames are counted elsewhere.
+func (ps *pressureState) noteShed(v FrameVerdict) {
+	switch v {
+	case VerdictShed:
+		ps.mon.NoteShed(pressure.ShedDrop)
+	case VerdictDowngraded:
+		ps.mon.NoteShed(pressure.ShedDowngrade)
+	case VerdictServed:
+		ps.mon.NoteShed(pressure.ShedPrefetch)
 	}
-	for _, i := range live {
-		f := streams[i][tick]
-		r := rung
-		if i == probe {
-			r = pressure.ShedDowngrade
-		}
-		res, err := m.streams[i].processFrameShed(f, r)
-		if err != nil {
-			// The stream cannot make progress (e.g. cold start with an
-			// unreachable repository). Quarantine it and keep the fleet
-			// alive; the watchdog releases it for a probe later.
-			if ps.wd.Quarantine(i) {
-				ps.mon.NoteQuarantine()
-				m.flt.Record(flight.Event{Stream: i, Kind: flight.KindQuarantine, Detail: "error"})
-			}
-			res = disposedResult(VerdictQuarantined)
-			m.streams[i].stats.QuarantinedFrames++
-			ps.mon.NoteQuarantinedFrame()
-		} else if r > pressure.ShedNone {
-			switch res.Verdict {
-			case VerdictShed:
-				ps.mon.NoteShed(pressure.ShedDrop)
-			case VerdictDowngraded:
-				ps.mon.NoteShed(pressure.ShedDowngrade)
-			default:
-				ps.mon.NoteShed(pressure.ShedPrefetch)
-			}
-		}
-		if obs != nil {
-			if err := obs(i, f, res); err != nil {
-				return fmt.Errorf("core: stream %d observer: %w", i, err)
-			}
-		}
-		results[i][tick] = res
-	}
-	return nil
 }
 
 // observePressureTick folds one completed tick into the controller,
@@ -364,22 +296,21 @@ func (m *MultiRuntime) observePressureTick(tick int, ready []int, results [][]Fr
 	var worst time.Duration
 	served := false
 	for _, i := range ready {
+		// Shed frames are fleet policy and quarantined frames are
+		// already sanctioned; neither counts toward stall credit.
 		res := results[i][tick]
-		switch res.Verdict {
-		case VerdictServed, VerdictDowngraded:
-			served = true
-			ps.active[i] = true
-			ps.progress[i] = true
-			lat := res.Latency
-			if ps.latScale != nil {
-				lat = time.Duration(float64(lat) / ps.latScale[i])
-			}
-			if lat > worst {
-				worst = lat
-			}
-		default:
-			// Shed frames are fleet policy and quarantined frames are
-			// already sanctioned; neither counts toward stall credit.
+		if !res.Verdict.served() {
+			continue
+		}
+		served = true
+		ps.active[i] = true
+		ps.progress[i] = true
+		lat := res.Latency
+		if ps.latScale != nil {
+			lat = time.Duration(float64(lat) / ps.latScale[i])
+		}
+		if lat > worst {
+			worst = lat
 		}
 	}
 	ps.ctl.ObserveTick(worst, served)

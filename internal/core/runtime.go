@@ -10,6 +10,7 @@ import (
 	"anole/internal/device"
 	"anole/internal/modelcache"
 	"anole/internal/prefetch"
+	"anole/internal/pressure"
 	"anole/internal/stats"
 	"anole/internal/synth"
 	"anole/internal/telemetry"
@@ -221,10 +222,6 @@ type Runtime struct {
 	retryCap       int
 	degradedWait   int
 	degradedStreak int
-	// planSuppressed is set by processFrameShed around stageFinish so a
-	// shed-ladder frame skips background prefetch planning (rung ≥ 1)
-	// while keeping the rest of the bookkeeping identical.
-	planSuppressed bool
 	// sizer is the byte-size registry backing the store's sizer func.
 	sizer *sizerRegistry
 	// pfOffset shifts this stream's model indices into the shared
@@ -479,44 +476,46 @@ func (r *Runtime) SwapBundle(b *Bundle) error {
 // behavior and simulated latency are recorded.
 //
 // The body is a composition of the stage methods below; MultiRuntime's
-// batched event loop runs the same stages, substituting batched
-// embedding/score/detector computation for the per-frame calls, and
-// its worker pool runs resolveFrame in stream order.
+// tick pipeline runs the same stages, substituting batched
+// embedding/score/detector computation for the per-frame calls.
 func (r *Runtime) ProcessFrame(f *synth.Frame) (FrameResult, error) {
 	if err := r.validateFrame(f); err != nil {
 		return FrameResult{}, err
 	}
 	r.computeDecision(f)
 	var res FrameResult
-	seq, err := r.resolveFrame(f, &res)
+	seq, err := r.resolveFrame(f, pressure.ShedNone, &res)
 	if err != nil {
 		return FrameResult{}, err
 	}
-	r.serveFrame(f, seq, &res)
+	detectDur := r.detectAccount(f, &res)
+	r.predsBuf = r.bundle.Detectors[res.Used].DetectFrame(r.predsBuf, f)
+	r.finishDetect(f, seq, detectDur, &res)
+	r.stageFinish(&res)
 	return res, nil
 }
 
-// resolveFrame opens the frame and runs MSS and CMD on the decision
-// buffers computeDecision filled: every stage of the frame that reads
-// or writes state shared across streams — link clock, tracer sequence,
-// model cache, demand fetches — up to the choice of serving model.
-func (r *Runtime) resolveFrame(f *synth.Frame, res *FrameResult) (int64, error) {
+// resolveFrame opens the frame and runs MSS, CMD and prefetch planning
+// on the decision buffers computeDecision (or adoptDecision) filled:
+// every stage of the frame that reads or writes state shared across
+// streams — link clock, tracer sequence, model cache, demand fetches,
+// the prefetch scheduler. A shed-ladder rung above ShedNone suppresses
+// background planning; from ShedDowngrade on, the frame is served by a
+// resident model without link traffic when one exists.
+func (r *Runtime) resolveFrame(f *synth.Frame, rung pressure.Rung, res *FrameResult) (int64, error) {
 	seq := r.beginFrame()
 	rank := r.stageDecide(seq, res)
-	return seq, r.stageResolve(f, seq, rank, res)
-}
-
-// serveFrame is MI and the bookkeeping after resolveFrame: it runs the
-// serving detector, scores the frame and closes it.
-func (r *Runtime) serveFrame(f *synth.Frame, seq int64, res *FrameResult) {
-	detectDur := r.detectAccount(f, res)
-	r.predsBuf = r.bundle.Detectors[res.Used].DetectFrame(r.predsBuf, f)
-	r.finishDetect(f, seq, detectDur, res)
-	r.stageFinish(res)
+	if !(rung >= pressure.ShedDowngrade && r.resolveDowngrade(f, seq, res)) {
+		if err := r.stageResolve(f, seq, rank, res); err != nil {
+			return seq, err
+		}
+	}
+	r.stagePlan(res, rung >= pressure.ShedPrefetch)
+	return seq, nil
 }
 
 // validateFrame rejects frames the bundle cannot process. Split from
-// beginFrame so the batched path can vet a whole tick's frames before
+// beginFrame so the tick pipeline can vet a chunk's frames before
 // touching any shared clocks.
 func (r *Runtime) validateFrame(f *synth.Frame) error {
 	if f == nil {
@@ -544,8 +543,8 @@ func (r *Runtime) beginFrame() int64 {
 }
 
 // computeDecision fills the embedding and score buffers for one frame —
-// the per-frame (one-row batch) form. The batched path replaces this with
-// adoptDecision over rows of the tick's batch matrices; both produce
+// the per-frame (one-row batch) form. The tick pipeline replaces this
+// with adoptDecision over rows of its batch matrices; both produce
 // bit-identical buffers.
 func (r *Runtime) computeDecision(f *synth.Frame) {
 	r.featBuf = synth.FrameFeatureInto(r.featBuf, f)
@@ -599,8 +598,8 @@ func (r *Runtime) stageDecide(seq int64, res *FrameResult) []int {
 
 // stageResolve is CMD: it resolves the ranking against the cache and
 // picks the model serving this frame (res.Used), charging fetch stalls
-// and load latencies. It touches the shared cache and link, so the
-// batched event loop runs it sequentially in stream order.
+// and load latencies. It touches the shared cache and link, so the tick
+// pipeline runs it sequentially in stream order.
 func (r *Runtime) stageResolve(f *synth.Frame, seq int64, rank []int, res *FrameResult) error {
 	// CMD: resolve against the cache. On a miss the frame is served by
 	// the best model already resident (the paper's §V-B rule) while the
@@ -733,7 +732,7 @@ func (r *Runtime) stageResolve(f *synth.Frame, seq int64, rank []int, res *Frame
 
 // detectAccount charges the serving model's inference cost to the
 // device simulator — the accounting half of MI, kept apart from the
-// actual detector run so the batched path can account per stream while
+// actual detector run so the tick pipeline can account per stream while
 // detecting per group.
 func (r *Runtime) detectAccount(f *synth.Frame, res *FrameResult) time.Duration {
 	var detectDur time.Duration
@@ -746,28 +745,34 @@ func (r *Runtime) detectAccount(f *synth.Frame, res *FrameResult) time.Duration 
 
 // finishDetect scores the predictions in predsBuf against ground truth
 // and closes the detect span. The caller has already filled predsBuf —
-// DetectFrame in the per-frame path, a grouped DetectBatch in the
-// batched one.
+// DetectFrame in the per-frame path, a grouped DetectBatch in the tick
+// pipeline.
 func (r *Runtime) finishDetect(f *synth.Frame, seq int64, detectDur time.Duration, res *FrameResult) {
 	res.Metrics = detect.ScorePredictions(r.predsBuf, f)
 	r.recordStage(seq, telemetry.StageDetect, res.Used, detectDur, res.Used == res.Desired, res.Degraded, nil)
 }
 
-// stageFinish is the per-frame bookkeeping: switch detection, prefetch
-// planning, stats and metrics. It mutates per-stream state and the
-// shared prefetch scheduler, so the batched event loop runs it
-// sequentially in stream order.
-func (r *Runtime) stageFinish(res *FrameResult) {
+// stagePlan is switch detection and prefetch planning: a switch feeds
+// the shared transition model, and a switch (or the stream's first
+// frame) warms the cache toward the likeliest next targets unless
+// suppress is set. It drives the shared prefetch scheduler, so it runs
+// with the other shared-state stages, in stream order.
+func (r *Runtime) stagePlan(res *FrameResult, suppress bool) {
 	res.Switched = r.prevDesired >= 0 && res.Desired != r.prevDesired
-	if r.pf != nil {
-		if res.Switched {
-			r.pf.Observe(r.pfOffset+r.prevDesired, r.pfOffset+res.Desired)
-		}
-		if (res.Switched || r.stats.Frames == 0) && !r.planSuppressed {
-			// Warm the cache toward the likeliest next switch targets.
-			r.pf.Plan(r.pfOffset + res.Desired)
-		}
+	if r.pf == nil {
+		return
 	}
+	if res.Switched {
+		r.pf.Observe(r.pfOffset+r.prevDesired, r.pfOffset+res.Desired)
+	}
+	if (res.Switched || r.stats.Frames == 0) && !suppress {
+		r.pf.Plan(r.pfOffset + res.Desired)
+	}
+}
+
+// stageFinish is the per-frame bookkeeping: scene durations, stats and
+// metrics. It touches only this stream's state.
+func (r *Runtime) stageFinish(res *FrameResult) {
 	if res.Switched {
 		r.stats.Switches++
 		r.met.switches.Inc()

@@ -36,8 +36,7 @@ func (c *WatchdogConfig) withDefaults() WatchdogConfig {
 // fleet; after QuarantineTicks the stream is released and its next
 // frame probes the full pipeline again.
 //
-// Methods are safe for concurrent use (worker-pool ticks report
-// progress from multiple goroutines). A nil *Watchdog is inert.
+// Methods are safe for concurrent use. A nil *Watchdog is inert.
 type Watchdog struct {
 	cfg WatchdogConfig
 
