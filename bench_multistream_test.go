@@ -1,11 +1,12 @@
 package anole_test
 
 // Multi-stream runtime benchmarks: N independent frame streams
-// multiplexed over one shared sharded model cache (core.MultiRuntime).
-// The sweep shows how cache contention moves with streams × slots; the
-// vs-sequential benchmark reports the simulated-device speedup of
-// serving four streams concurrently instead of back-to-back, which must
-// clear 1.5x for the multiplexing to pay for its contention.
+// multiplexed over one shared model cache (core.MultiRuntime). The
+// sweep shows how the streams' competition for cache slots moves with
+// streams × slots; the vs-sequential benchmark reports the
+// simulated-device speedup of serving four streams concurrently instead
+// of back-to-back, which must clear 1.5x for the multiplexing to pay
+// for sharing one cache.
 
 import (
 	"fmt"
@@ -146,8 +147,8 @@ func BenchmarkMultiStream_BatchCurve(b *testing.B) {
 // back-to-back through fresh single-stream Runtimes on one device. The
 // sequential makespan is the sum of per-run simulated latency; the
 // concurrent makespan is the slowest stream. simulated-speedup is their
-// ratio and must exceed 1.5x — cache contention (shared slots, shared
-// eviction pressure) is what keeps it below the ideal 4x.
+// ratio and must exceed 1.5x — the streams sharing one cache's slots
+// and eviction pressure is what keeps it below the ideal 4x.
 func BenchmarkMultiStream_VsSequential(b *testing.B) {
 	const streams, perStream, slots = 4, 100, 5
 	l := lab(b)

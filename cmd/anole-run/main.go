@@ -801,7 +801,7 @@ func adaptLoop(mrt *core.MultiRuntime, bundle *core.Bundle, world *synth.World, 
 
 // runMulti drives the multi-stream path: every stream gets its own
 // generated clip sequence and device simulator, all streams share one
-// sharded model cache. With ao non-nil the run goes through the
+// model cache. With ao non-nil the run goes through the
 // adaptation loop instead of bare ProcessStreams.
 func runMulti(w io.Writer, bundle *core.Bundle, profile device.Profile, streams, cache, clips, frames int, seed uint64, batch bool, tracePath string, pfCfg *prefetch.Config, lf *prefetch.LinkFetcher, ao *adaptOptions, ro runOptions, jsonPath string, reg *telemetry.Registry, spans *telemetry.Tracer) error {
 	mcfg := core.MultiRuntimeConfig{

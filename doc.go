@@ -11,8 +11,8 @@
 // benchmark.
 //
 // Concurrency: core.Runtime serves a single frame stream;
-// core.MultiRuntime multiplexes N streams over one shared thread-safe
-// modelcache.Sharded, with every stream running on the same frozen
+// core.MultiRuntime multiplexes N streams over one shared
+// modelcache.Cache, with every stream running on the same frozen
 // bundle (models are immutable nn.Weights programs executed against
 // pooled per-call scratch, so N streams hold one resident copy of the
 // repertoire — DESIGN.md §8). A 1-stream MultiRuntime is

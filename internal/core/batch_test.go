@@ -14,7 +14,7 @@ import (
 // prewarmCache admits every repertoire model so subsequent requests are
 // hits regardless of stream interleaving — the precondition for exact
 // cross-mode result comparison.
-func prewarmCache(t *testing.T, store core.ModelStore, b *core.Bundle) {
+func prewarmCache(t *testing.T, store *modelcache.Cache, b *core.Bundle) {
 	t.Helper()
 	for _, det := range b.Detectors {
 		if _, _, err := store.Request(det.Name, 1); err != nil {
@@ -93,7 +93,6 @@ func TestMultiRuntimeBatchedMatchesUnbatched(t *testing.T) {
 		m, err := core.NewMultiRuntime(fx.Bundle, core.MultiRuntimeConfig{
 			Streams:          streams,
 			CacheSlots:       fx.Bundle.NumModels(),
-			CacheShards:      1,
 			SwitchHysteresis: 2,
 			Fleet:            device.UniformFleet(device.JetsonTX2NX, streams),
 			Batch:            batch,
@@ -146,7 +145,6 @@ func TestMultiRuntimeBatchedDeterministic(t *testing.T) {
 		m, err := core.NewMultiRuntime(fx.Bundle, core.MultiRuntimeConfig{
 			Streams:          streams,
 			CacheSlots:       2,
-			CacheShards:      1,
 			SwitchHysteresis: 2,
 			Policy:           modelcache.LFU,
 			Batch:            true,
@@ -230,11 +228,10 @@ func TestMultiRuntimeBatchedUnequalLengths(t *testing.T) {
 
 	run := func(batch bool, reg *telemetry.Registry) [][]core.FrameResult {
 		m, err := core.NewMultiRuntime(fx.Bundle, core.MultiRuntimeConfig{
-			Streams:     streams,
-			CacheSlots:  fx.Bundle.NumModels(),
-			CacheShards: 1,
-			Batch:       batch,
-			Metrics:     reg,
+			Streams:    streams,
+			CacheSlots: fx.Bundle.NumModels(),
+			Batch:      batch,
+			Metrics:    reg,
 		})
 		if err != nil {
 			t.Fatal(err)
@@ -280,12 +277,11 @@ func TestMultiRuntimeBatchMetricsAndChunking(t *testing.T) {
 
 	run := func(maxBatch int, reg *telemetry.Registry) [][]core.FrameResult {
 		m, err := core.NewMultiRuntime(fx.Bundle, core.MultiRuntimeConfig{
-			Streams:     streams,
-			CacheSlots:  fx.Bundle.NumModels(),
-			CacheShards: 1,
-			Batch:       true,
-			MaxBatch:    maxBatch,
-			Metrics:     reg,
+			Streams:    streams,
+			CacheSlots: fx.Bundle.NumModels(),
+			Batch:      true,
+			MaxBatch:   maxBatch,
+			Metrics:    reg,
 		})
 		if err != nil {
 			t.Fatal(err)
@@ -346,7 +342,6 @@ func TestMultiRuntimeBatchedStressMatchesSequential(t *testing.T) {
 	m, err := core.NewMultiRuntime(fx.Bundle, core.MultiRuntimeConfig{
 		Streams:          streams,
 		CacheSlots:       slots,
-		CacheShards:      1,
 		SwitchHysteresis: 2,
 		Fleet:            device.UniformFleet(device.JetsonTX2NX, streams),
 		Batch:            true,

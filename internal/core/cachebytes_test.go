@@ -28,37 +28,29 @@ func TestRuntimeCacheBytesMatchWeightSizes(t *testing.T) {
 		sizeOf[d.Name] = d.SizeBytes()
 	}
 
-	for name, store := range map[string]interface {
-		core.ModelStore
-		Keys() []string
-		BytesUsed() int64
-	}{
-		"cache":   modelcache.MustNew(3, modelcache.LFU),
-		"sharded": modelcache.MustNewSharded(3, modelcache.LFU, 2),
-	} {
-		rt, err := core.NewRuntime(fx.Bundle, core.RuntimeConfig{Store: store})
-		if err != nil {
+	store := modelcache.MustNew(3, modelcache.LFU)
+	rt, err := core.NewRuntime(fx.Bundle, core.RuntimeConfig{Store: store})
+	if err != nil {
+		t.Fatal(err)
+	}
+	for _, f := range frames {
+		if _, err := rt.ProcessFrame(f); err != nil {
 			t.Fatal(err)
 		}
-		for _, f := range frames {
-			if _, err := rt.ProcessFrame(f); err != nil {
-				t.Fatal(err)
-			}
+	}
+	keys := store.Keys()
+	if len(keys) == 0 {
+		t.Fatalf("no models resident after %d frames", len(frames))
+	}
+	var want int64
+	for _, k := range keys {
+		sz, ok := sizeOf[k]
+		if !ok {
+			t.Fatalf("resident key %q is not a bundle detector", k)
 		}
-		keys := store.Keys()
-		if len(keys) == 0 {
-			t.Fatalf("%s: no models resident after %d frames", name, len(frames))
-		}
-		var want int64
-		for _, k := range keys {
-			sz, ok := sizeOf[k]
-			if !ok {
-				t.Fatalf("%s: resident key %q is not a bundle detector", name, k)
-			}
-			want += sz
-		}
-		if got := store.BytesUsed(); got != want {
-			t.Fatalf("%s: BytesUsed %d, summed Weights.SizeBytes of residents %d", name, got, want)
-		}
+		want += sz
+	}
+	if got := store.BytesUsed(); got != want {
+		t.Fatalf("BytesUsed %d, summed Weights.SizeBytes of residents %d", got, want)
 	}
 }

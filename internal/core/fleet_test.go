@@ -53,7 +53,7 @@ func repertoireBytes(b *core.Bundle) int64 {
 // TestMultiRuntimeMixedFleetBatchedMatchesUnbatched extends the batch
 // equivalence harness to a heterogeneous fleet: six streams split
 // across Nano, TX2 NX and laptop profiles, batch on vs. off, one
-// pre-warmed single-shard cache. Batching groups streams by resolved
+// pre-warmed cache. Batching groups streams by resolved
 // bundle and runs the shared backbone in global stream order, so the
 // two modes must stay bit-identical per frame and per stream even when
 // profile classes (and their simulated latencies) differ.
@@ -70,7 +70,6 @@ func TestMultiRuntimeMixedFleetBatchedMatchesUnbatched(t *testing.T) {
 		m, err := core.NewMultiRuntime(fx.Bundle, core.MultiRuntimeConfig{
 			Streams:          streams,
 			CacheSlots:       fx.Bundle.NumModels(),
-			CacheShards:      1,
 			SwitchHysteresis: 2,
 			Fleet:            fleet,
 			Batch:            batch,

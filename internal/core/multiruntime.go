@@ -23,14 +23,11 @@ type MultiRuntimeConfig struct {
 	// (default 1).
 	Streams int
 	// CacheSlots is the shared cache capacity in compressed-model units
-	// (default 5), split across CacheShards shards.
+	// (default 5). The eviction policy runs over all of it, so the cache
+	// holds up to CacheSlots models whatever Streams is.
 	CacheSlots int
 	// Policy is the eviction policy (default LFU).
 	Policy modelcache.Policy
-	// CacheShards is the shard count of the shared cache (≤0 selects
-	// min(Streams, CacheSlots), so a single stream gets a single shard
-	// and reproduces Runtime's cache behavior exactly).
-	CacheShards int
 	// SwitchHysteresis is applied per stream (see
 	// RuntimeConfig.SwitchHysteresis).
 	SwitchHysteresis int
@@ -65,7 +62,7 @@ type MultiRuntimeConfig struct {
 	// per frame of aggregate work. Call Close to drain the scheduler.
 	Prefetch *prefetch.Config
 	// Metrics, when non-nil, is the shared telemetry registry: the
-	// sharded cache registers its anole_modelcache_* counters on it, the
+	// shared cache registers its anole_modelcache_* counters on it, the
 	// prefetch scheduler its anole_prefetch_* counters (unless the
 	// Prefetch config names its own registry), and every stream binds
 	// the same anole_core_* handles, so the registry's values aggregate
@@ -119,18 +116,18 @@ type MultiRuntimeConfig struct {
 	SLO *slo.Engine
 }
 
-// MultiRuntime serves N independent frame streams over one shared
-// thread-safe model cache. Every stream's Runtime runs against the SAME
-// bundle: the models inside it are frozen nn.Weights programs with no
-// execution state, so N streams hold exactly one resident copy of the
-// encoder, decision head and all detectors regardless of N. Each stream
-// keeps private hysteresis/decision state and working buffers; the
-// cache — the resident-model budget of the shared accelerator — is the
-// only structure streams contend on. Construct with NewMultiRuntime,
-// drive with ProcessStreams.
+// MultiRuntime serves N independent frame streams over one shared model
+// cache. Every stream's Runtime runs against the SAME bundle: the models
+// inside it are frozen nn.Weights programs with no execution state, so N
+// streams hold exactly one resident copy of the encoder, decision head
+// and all detectors regardless of N. Each stream keeps private
+// hysteresis/decision state and working buffers; the cache is the
+// resident-model budget of the shared accelerator, which the tick
+// pipeline touches one frame at a time in stream order. Construct with
+// NewMultiRuntime, drive with ProcessStreams.
 type MultiRuntime struct {
 	bundle  *Bundle
-	cache   *modelcache.Sharded
+	cache   *modelcache.Cache
 	streams []*Runtime
 	devs    []*device.Simulator
 	workers int
@@ -158,7 +155,7 @@ type MultiRuntime struct {
 	slo *slo.Engine
 }
 
-// NewMultiRuntime validates the bundle once, builds the shared sharded
+// NewMultiRuntime validates the bundle once, builds the shared model
 // cache, and prepares one runtime per stream, all sharing the bundle.
 func NewMultiRuntime(b *Bundle, cfg MultiRuntimeConfig) (*MultiRuntime, error) {
 	if err := b.Validate(); err != nil {
@@ -173,14 +170,7 @@ func NewMultiRuntime(b *Bundle, cfg MultiRuntimeConfig) (*MultiRuntime, error) {
 	if cfg.Policy == 0 {
 		cfg.Policy = modelcache.LFU
 	}
-	shards := cfg.CacheShards
-	if shards <= 0 {
-		shards = cfg.Streams
-		if shards > cfg.CacheSlots {
-			shards = cfg.CacheSlots
-		}
-	}
-	cache, err := modelcache.NewShardedMetrics(cfg.CacheSlots, cfg.Policy, shards, cfg.Metrics)
+	cache, err := modelcache.NewMetrics(cfg.CacheSlots, cfg.Policy, cfg.Metrics)
 	if err != nil {
 		return nil, err
 	}
@@ -355,8 +345,8 @@ func (m *MultiRuntime) Bundle() *Bundle { return m.bundle }
 // copy invariant.
 func (m *MultiRuntime) StreamBundle(i int) *Bundle { return m.streams[i].Bundle() }
 
-// Cache returns the shared sharded model cache.
-func (m *MultiRuntime) Cache() *modelcache.Sharded { return m.cache }
+// Cache returns the shared model cache.
+func (m *MultiRuntime) Cache() *modelcache.Cache { return m.cache }
 
 // SwapStreamBundle deploys b on stream i only — the canary step of a
 // rollout. The tick pipeline groups each chunk's frames by the bundle
@@ -477,7 +467,7 @@ type StreamObserver func(stream int, f *synth.Frame, res FrameResult) error
 // before advancing — streams stay within one frame of each other
 // (tick-fair), however unequal their lengths. Per frame the pipeline is
 // decision (MSS on the shared frozen encoder/head) → cache admission
-// (CMD against the shared sharded cache) → inference (MI on the shared
+// (CMD against the shared cache) → inference (MI on the shared
 // detector).
 //
 // Every configuration runs one tick pipeline (processTick): the ready
@@ -564,7 +554,7 @@ func (m *MultiRuntime) StreamStats(i int) RunStats { return m.streams[i].Stats()
 // switch, per-model and detection counters are summed (detection P/R/F1
 // recomputed from the summed counts), scene durations concatenated in
 // stream order, and the cache counters taken once from the shared
-// sharded cache.
+// cache.
 func (m *MultiRuntime) Stats() RunStats {
 	// During a canary (and after a rollback) streams can disagree on
 	// repertoire size; per-model slices are sized to the largest any

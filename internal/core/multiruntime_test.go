@@ -32,11 +32,42 @@ func streamFrames(t *testing.T, n, perStream int) [][]*synth.Frame {
 	return out
 }
 
+// TestMultiRuntimeCacheHoldsItsCapacity pins the capacity contract of
+// the shared cache: with one slot per model, warming every detector
+// makes the whole repertoire resident whatever the stream count, and a
+// run over it evicts nothing.
+func TestMultiRuntimeCacheHoldsItsCapacity(t *testing.T) {
+	fx := testutil.Shared(t)
+	n := fx.Bundle.NumModels()
+	for _, streams := range []int{1, 8, 256} {
+		m, err := core.NewMultiRuntime(fx.Bundle, core.MultiRuntimeConfig{
+			Streams:    streams,
+			CacheSlots: n,
+		})
+		if err != nil {
+			t.Fatal(err)
+		}
+		for _, d := range fx.Bundle.Detectors {
+			m.Cache().Warm(d.Name, 1, 1)
+		}
+		if got := m.Cache().Len(); got != n {
+			t.Fatalf("%d streams: %d of %d models resident after warming all of them", streams, got, n)
+		}
+		if _, err := m.ProcessStreams(streamFrames(t, streams, 4), nil); err != nil {
+			t.Fatal(err)
+		}
+		if ev := m.Stats().Cache.Evictions; ev != 0 {
+			t.Fatalf("%d streams: %d evictions with every model resident", streams, ev)
+		}
+		m.Close()
+	}
+}
+
 // TestMultiRuntimeSingleStreamMatchesRuntime is the determinism guard
-// for the refactor: one stream through MultiRuntime (single shard by
-// default) must produce frame-for-frame identical results to the
-// original single-tenant Runtime on the same sequence, including
-// simulated latency, hysteresis smoothing and cache behavior.
+// for the refactor: one stream through MultiRuntime must produce
+// frame-for-frame identical results to the original single-tenant
+// Runtime on the same sequence, including simulated latency, hysteresis
+// smoothing and cache behavior.
 func TestMultiRuntimeSingleStreamMatchesRuntime(t *testing.T) {
 	fx := testutil.Shared(t)
 	frames := streamFrames(t, 1, 120)[0]
@@ -58,9 +89,6 @@ func TestMultiRuntimeSingleStreamMatchesRuntime(t *testing.T) {
 		})
 		if err != nil {
 			t.Fatal(err)
-		}
-		if multi.Cache().NumShards() != 1 {
-			t.Fatalf("1 stream defaulted to %d shards, want 1", multi.Cache().NumShards())
 		}
 
 		want := make([]core.FrameResult, 0, len(frames))
@@ -189,7 +217,6 @@ func TestMultiRuntimeStreamsAreIsolated(t *testing.T) {
 		// Every model fits: cache behavior is identical for all
 		// streams after each model's first admission.
 		CacheSlots:       fx.Bundle.NumModels(),
-		CacheShards:      1,
 		SwitchHysteresis: 2,
 		Workers:          streams,
 	})
@@ -335,7 +362,6 @@ func TestSharedBundleStreamsMatchSequential(t *testing.T) {
 	m, err := core.NewMultiRuntime(fx.Bundle, core.MultiRuntimeConfig{
 		Streams:          streams,
 		CacheSlots:       slots,
-		CacheShards:      1,
 		SwitchHysteresis: 2,
 		Workers:          streams,
 	})

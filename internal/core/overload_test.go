@@ -122,7 +122,7 @@ func TestMultiRuntimeSwapPurgeByteAccounting(t *testing.T) {
 	}
 	defer m.Close()
 
-	// sizesOf mirrors wireSizer: detector name to frozen serialized
+	// sizesOf mirrors the runtime's sizer registry: detector name to frozen serialized
 	// size; keys outside the bundle measure zero.
 	sizesOf := func(b *core.Bundle) map[string]int64 {
 		out := make(map[string]int64, len(b.Detectors))

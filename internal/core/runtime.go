@@ -17,19 +17,6 @@ import (
 	"anole/internal/tensor"
 )
 
-// ModelStore is the cache surface the runtime drives: Request admits or
-// touches the desired model, Contains probes residency for fallback
-// selection, and the counters feed RunStats. Both *modelcache.Cache
-// (single stream) and *modelcache.Sharded (shared across streams)
-// satisfy it.
-type ModelStore interface {
-	Request(key string, size int) (hit bool, evicted []string, err error)
-	Contains(key string) bool
-	Len() int
-	Stats() modelcache.Stats
-	MissRate() float64
-}
-
 // RuntimeConfig controls the on-device inference loop.
 type RuntimeConfig struct {
 	// CacheSlots is the model cache capacity in compressed-model units
@@ -39,10 +26,10 @@ type RuntimeConfig struct {
 	Policy modelcache.Policy
 	// Store, when non-nil, is the model cache the runtime uses instead
 	// of constructing its own from CacheSlots/Policy. MultiRuntime
-	// passes one shared thread-safe store to every stream; when set,
-	// the Cache and MissRate fields of Stats reflect that shared store,
-	// not this runtime alone.
-	Store ModelStore
+	// passes one shared cache to every stream; when set, the Cache and
+	// MissRate fields of Stats reflect that shared cache, not this
+	// runtime alone.
+	Store *modelcache.Cache
 	// Device, when non-nil, charges simulated latency/energy/memory for
 	// every decision, load and inference.
 	Device *device.Simulator
@@ -57,10 +44,9 @@ type RuntimeConfig struct {
 	// set): model bytes then travel the device↔cloud link, absent
 	// desired models pay an on-demand fetch stall, and predicted next
 	// models are prefetched in the background after each switch. The
-	// runtime owns the scheduler; call Close to drain it. When no Store
-	// is supplied the private cache becomes a single-shard
-	// modelcache.Sharded, since prefetch completions insert from
-	// background goroutines.
+	// runtime owns the scheduler; call Close to drain it. Prefetch
+	// completions insert into the cache from background goroutines,
+	// which modelcache.Cache's lock makes safe.
 	Prefetch *prefetch.Config
 	// Prefetcher, when non-nil, attaches a pre-built (possibly shared)
 	// scheduler instead; it takes precedence over Prefetch and is NOT
@@ -207,7 +193,7 @@ func (s RunStats) MeanSceneDuration() float64 {
 // several of them over one shared cache.
 type Runtime struct {
 	bundle     *Bundle
-	cache      ModelStore
+	cache      *modelcache.Cache
 	dev        *device.Simulator
 	hysteresis int
 	// pf, when non-nil, gates model residency on the device↔cloud link;
@@ -277,23 +263,9 @@ func NewRuntime(b *Bundle, cfg RuntimeConfig) (*Runtime, error) {
 		if cfg.Policy == 0 {
 			cfg.Policy = modelcache.LFU
 		}
-		if cfg.Prefetch != nil || cfg.Prefetcher != nil || cfg.Metrics != nil {
-			// Prefetch completions insert from background goroutines, so
-			// a prefetching runtime's private store must be thread-safe;
-			// one shard reproduces Cache's eviction behavior under a lock.
-			// A metrics-enabled runtime also takes this path so its cache
-			// counters land on the shared registry.
-			sharded, err := modelcache.NewShardedMetrics(cfg.CacheSlots, cfg.Policy, 1, cfg.Metrics)
-			if err != nil {
-				return nil, err
-			}
-			store = sharded
-		} else {
-			cache, err := modelcache.New(cfg.CacheSlots, cfg.Policy)
-			if err != nil {
-				return nil, err
-			}
-			store = cache
+		var err error
+		if store, err = modelcache.NewMetrics(cfg.CacheSlots, cfg.Policy, cfg.Metrics); err != nil {
+			return nil, err
 		}
 	}
 	sizer := cfg.sizer
@@ -301,7 +273,7 @@ func NewRuntime(b *Bundle, cfg RuntimeConfig) (*Runtime, error) {
 		sizer = newSizerRegistry()
 	}
 	sizer.add(b)
-	wireSizer(store, sizer)
+	store.SetSizer(sizer.size)
 	retryBase := cfg.DegradedRetryFrames
 	if retryBase <= 0 {
 		retryBase = 4
@@ -336,11 +308,7 @@ func NewRuntime(b *Bundle, cfg RuntimeConfig) (*Runtime, error) {
 	case cfg.Prefetcher != nil:
 		r.pf = cfg.Prefetcher
 	case cfg.Prefetch != nil:
-		ps, ok := store.(prefetch.Store)
-		if !ok {
-			return nil, fmt.Errorf("core: prefetch needs a store with Prefetch/Contains, have %T", store)
-		}
-		sched, err := prefetch.NewScheduler(*cfg.Prefetch, ps, PrefetchModels(b))
+		sched, err := prefetch.NewScheduler(*cfg.Prefetch, store, PrefetchModels(b))
 		if err != nil {
 			return nil, err
 		}
@@ -363,15 +331,7 @@ func PrefetchModels(b *Bundle) []prefetch.Model {
 	return out
 }
 
-// byteSizedStore is the optional cache surface for byte-level residency
-// accounting: stores that implement it (modelcache.Cache and Sharded)
-// are taught the exact serialized size of each model so BytesUsed
-// reflects real resident memory, not just slot counts.
-type byteSizedStore interface {
-	SetSizer(func(key string) int64)
-}
-
-// sizerRegistry is the byte-size map behind a store's sizer func: each
+// sizerRegistry is the byte-size map behind the cache's sizer func: each
 // cache key (detector name) maps to the exact serialized size of its
 // program (Weights.SizeBytes). It accumulates — registering a new bundle
 // (a generation swap, a planner variant) merges its sizes instead of
@@ -400,13 +360,6 @@ func (sr *sizerRegistry) size(key string) int64 {
 	sr.mu.RLock()
 	defer sr.mu.RUnlock()
 	return sr.sizes[key]
-}
-
-// wireSizer points the store's byte accounting at the registry.
-func wireSizer(store ModelStore, sr *sizerRegistry) {
-	if bs, ok := store.(byteSizedStore); ok {
-		bs.SetSizer(sr.size)
-	}
 }
 
 // Prefetcher returns the attached prefetch scheduler (nil when
@@ -449,7 +402,7 @@ func (r *Runtime) SwapBundle(b *Bundle) error {
 	// detector names) take the incoming sizes, other bundles' keys keep
 	// theirs, so BytesUsed stays the exact sum over the resident set.
 	r.sizer.add(b)
-	wireSizer(r.cache, r.sizer)
+	r.cache.SetSizer(r.sizer.size)
 	n := b.NumModels()
 	for len(r.stats.DesiredCounts) < n {
 		r.stats.DesiredCounts = append(r.stats.DesiredCounts, 0)

@@ -4,16 +4,18 @@
 // model misses. LRU and FIFO policies are included for the cache-policy
 // ablation.
 //
-// Two cache types are provided. Cache is the single-goroutine original:
-// one device, one stream, no locks. Sharded partitions the same capacity
-// across mutex-guarded shards keyed by model name, with atomic
-// hit/miss/eviction counters, and is safe for concurrent use — it backs
-// core.MultiRuntime, where many streams share one resident-model budget.
+// One Cache type serves every caller: a single stream (core.Runtime),
+// many streams sharing one resident-model budget (core.MultiRuntime) and
+// the background prefetch goroutines that warm it. The eviction policy
+// runs over the whole resident set, as the paper's CMD does.
 package modelcache
 
 import (
 	"fmt"
 	"sort"
+	"sync"
+
+	"anole/internal/telemetry"
 )
 
 // Policy selects the eviction discipline.
@@ -58,10 +60,16 @@ type entry struct {
 
 // Cache is a bounded model cache. Capacity is expressed in abstract size
 // units (the harness uses "compressed model" units, matching Fig. 7(b)'s
-// x-axis). The zero value is not usable; construct with New. Cache is not
-// safe for concurrent use; wrap the same policies in a Sharded cache when
-// multiple goroutines share one model budget.
+// x-axis). The zero value is not usable; construct with New or
+// NewMetrics. Cache is safe for concurrent use: one mutex guards the
+// resident set, so prefetch completions may insert from background
+// goroutines while a serving loop requests.
+//
+// Hit/miss/eviction/lookup counts live only on the telemetry handles
+// (anole_modelcache_*), which Stats, MissRate and Lookups read; caches
+// sharing one registry share those handles.
 type Cache struct {
+	mu       sync.Mutex
 	capacity int
 	policy   Policy
 	entries  map[string]*entry
@@ -84,13 +92,15 @@ type Cache struct {
 	byteCap   int64
 	watermark float64
 
-	hits      int64
-	misses    int64
-	evictions int64
-
 	prefetches     int64
 	prefetchHits   int64
 	prefetchWasted int64
+
+	lookups   *telemetry.Counter
+	hits      *telemetry.Counter
+	misses    *telemetry.Counter
+	evictions *telemetry.Counter
+	resident  *telemetry.Gauge
 }
 
 // DefaultPinWindow is the first-use protection window, in logical-clock
@@ -100,8 +110,15 @@ type Cache struct {
 const DefaultPinWindow = 64
 
 // New returns a cache holding at most capacity size units under the given
-// policy.
+// policy, its counters in a private telemetry registry.
 func New(capacity int, policy Policy) (*Cache, error) {
+	return NewMetrics(capacity, policy, nil)
+}
+
+// NewMetrics is New with the cache's counters registered on reg under
+// the anole_modelcache_* names, so a shared registry exposes live cache
+// behavior on /metrics. A nil reg keeps them in a private registry.
+func NewMetrics(capacity int, policy Policy, reg *telemetry.Registry) (*Cache, error) {
 	if capacity <= 0 {
 		return nil, fmt.Errorf("modelcache: capacity %d", capacity)
 	}
@@ -110,12 +127,21 @@ func New(capacity int, policy Policy) (*Cache, error) {
 	default:
 		return nil, fmt.Errorf("modelcache: unknown policy %v", policy)
 	}
+	if reg == nil {
+		reg = telemetry.NewRegistry()
+	}
 	return &Cache{
 		capacity:  capacity,
 		policy:    policy,
 		entries:   make(map[string]*entry),
 		history:   make(map[string]int),
 		pinWindow: DefaultPinWindow,
+
+		lookups:   reg.Counter("anole_modelcache_lookups_total", "Request calls with a valid size"),
+		hits:      reg.Counter("anole_modelcache_hits_total", "Requests served by a resident model"),
+		misses:    reg.Counter("anole_modelcache_misses_total", "Requests that had to admit the model"),
+		evictions: reg.Counter("anole_modelcache_evictions_total", "Models evicted to make room"),
+		resident:  reg.Gauge("anole_modelcache_resident_models", "Models currently cached"),
 	}, nil
 }
 
@@ -132,14 +158,22 @@ func MustNew(capacity int, policy Policy) *Cache {
 func (c *Cache) Capacity() int { return c.capacity }
 
 // Used returns the occupied size units.
-func (c *Cache) Used() int { return c.used }
+func (c *Cache) Used() int {
+	c.mu.Lock()
+	defer c.mu.Unlock()
+	return c.used
+}
 
 // SetSizer teaches the cache the serialized byte size of each model:
 // fn maps a key to its exact on-device bytes (e.g. nn.Weights.SizeBytes
 // of the detector behind the key). Resident entries are re-measured
 // immediately, and every later admission records fn(key) so BytesUsed
-// tracks the real resident set. A nil fn clears byte accounting.
+// tracks the real resident set. A nil fn clears byte accounting. fn is
+// called with the cache's lock held, so it must not call back into the
+// cache.
 func (c *Cache) SetSizer(fn func(key string) int64) {
+	c.mu.Lock()
+	defer c.mu.Unlock()
 	c.sizer = fn
 	c.bytesUsed = 0
 	for _, e := range c.entries {
@@ -151,7 +185,11 @@ func (c *Cache) SetSizer(fn func(key string) int64) {
 // BytesUsed returns the summed serialized bytes of resident models, 0
 // until SetSizer installs a sizer. Unlike Used (abstract slot units),
 // this is the exact memory figure of the resident repertoire slice.
-func (c *Cache) BytesUsed() int64 { return c.bytesUsed }
+func (c *Cache) BytesUsed() int64 {
+	c.mu.Lock()
+	defer c.mu.Unlock()
+	return c.bytesUsed
+}
 
 // SetByteCapacity bounds the resident set in serialized bytes: demand
 // admissions evict until the incoming model fits under n, speculative
@@ -164,11 +202,17 @@ func (c *Cache) SetByteCapacity(n int64) {
 	if n < 0 {
 		n = 0
 	}
+	c.mu.Lock()
 	c.byteCap = n
+	c.mu.Unlock()
 }
 
 // ByteCapacity returns the configured byte capacity (0 = unbounded).
-func (c *Cache) ByteCapacity() int64 { return c.byteCap }
+func (c *Cache) ByteCapacity() int64 {
+	c.mu.Lock()
+	defer c.mu.Unlock()
+	return c.byteCap
+}
 
 // SetWatermark sets the byte-ceiling fraction (0 < frac ≤ 1) applied
 // to speculative admissions and watermark sweeps. Under memory
@@ -180,11 +224,19 @@ func (c *Cache) SetWatermark(frac float64) {
 	if frac <= 0 || frac > 1 {
 		frac = 1
 	}
+	c.mu.Lock()
 	c.watermark = frac
+	c.mu.Unlock()
 }
 
 // Watermark returns the current watermark fraction (1 when unset).
 func (c *Cache) Watermark() float64 {
+	c.mu.Lock()
+	defer c.mu.Unlock()
+	return c.watermarkFrac()
+}
+
+func (c *Cache) watermarkFrac() float64 {
 	if c.watermark <= 0 || c.watermark > 1 {
 		return 1
 	}
@@ -197,7 +249,7 @@ func (c *Cache) effByteCap() int64 {
 	if c.byteCap <= 0 || c.sizer == nil {
 		return 0
 	}
-	return int64(float64(c.byteCap) * c.Watermark())
+	return int64(float64(c.byteCap) * c.watermarkFrac())
 }
 
 // SweepToWatermark evicts unpinned entries (per the policy order)
@@ -208,6 +260,8 @@ func (c *Cache) effByteCap() int64 {
 // pressure relief, not a correctness bound. No-op without a byte
 // capacity and sizer.
 func (c *Cache) SweepToWatermark() []string {
+	c.mu.Lock()
+	defer c.mu.Unlock()
 	target := c.effByteCap()
 	if target <= 0 {
 		return nil
@@ -234,6 +288,8 @@ func (c *Cache) Warm(key string, size, freq int) bool {
 	if size <= 0 || key == "" {
 		return false
 	}
+	c.mu.Lock()
+	defer c.mu.Unlock()
 	if _, ok := c.entries[key]; ok {
 		return true
 	}
@@ -252,18 +308,23 @@ func (c *Cache) Warm(key string, size, freq int) bool {
 	}
 	c.history[key] = freq
 	c.clock++
-	e := &entry{
+	c.insert(&entry{
 		key:      key,
 		size:     size,
 		bytes:    bytes,
 		freq:     freq,
 		lastUsed: c.clock,
 		inserted: c.clock,
-	}
-	c.entries[key] = e
-	c.used += size
-	c.bytesUsed += e.bytes
+	})
 	return true
+}
+
+// insert makes e resident.
+func (c *Cache) insert(e *entry) {
+	c.entries[e.key] = e
+	c.used += e.size
+	c.bytesUsed += e.bytes
+	c.resident.Add(1)
 }
 
 // sizeOf measures key under the installed sizer (0 without one).
@@ -275,10 +336,16 @@ func (c *Cache) sizeOf(key string) int64 {
 }
 
 // Len returns the number of cached models.
-func (c *Cache) Len() int { return len(c.entries) }
+func (c *Cache) Len() int {
+	c.mu.Lock()
+	defer c.mu.Unlock()
+	return len(c.entries)
+}
 
 // Contains reports whether key is cached, without recording a use.
 func (c *Cache) Contains(key string) bool {
+	c.mu.Lock()
+	defer c.mu.Unlock()
 	_, ok := c.entries[key]
 	return ok
 }
@@ -286,8 +353,14 @@ func (c *Cache) Contains(key string) bool {
 // Touch records a use of key (frequency and recency bump) and reports
 // whether it was present. The first use of a prefetched entry counts as
 // a prefetch hit — the model was warmed before it was needed — and
-// releases its eviction pin.
+// releases its eviction pin. It does not move the lookup counters.
 func (c *Cache) Touch(key string) bool {
+	c.mu.Lock()
+	defer c.mu.Unlock()
+	return c.touch(key)
+}
+
+func (c *Cache) touch(key string) bool {
 	e, ok := c.entries[key]
 	if !ok {
 		return false
@@ -311,7 +384,9 @@ func (c *Cache) SetPinWindow(n int) {
 	if n < 0 {
 		n = 0
 	}
+	c.mu.Lock()
 	c.pinWindow = int64(n)
+	c.mu.Unlock()
 }
 
 // Prefetch speculatively admits key ahead of an anticipated request. It
@@ -328,6 +403,8 @@ func (c *Cache) Prefetch(key string, size int) (admitted bool, evicted []string,
 	if size <= 0 {
 		return false, nil, fmt.Errorf("modelcache: size %d for %q", size, key)
 	}
+	c.mu.Lock()
+	defer c.mu.Unlock()
 	if _, ok := c.entries[key]; ok {
 		return false, nil, nil
 	}
@@ -347,7 +424,7 @@ func (c *Cache) Prefetch(key string, size int) (admitted bool, evicted []string,
 		evicted = append(evicted, victim)
 	}
 	c.clock++
-	e := &entry{
+	c.insert(&entry{
 		key:         key,
 		size:        size,
 		bytes:       incomingBytes,
@@ -357,10 +434,7 @@ func (c *Cache) Prefetch(key string, size int) (admitted bool, evicted []string,
 		prefetched:  true,
 		unused:      true,
 		pinnedUntil: c.clock + c.pinWindow,
-	}
-	c.entries[key] = e
-	c.used += size
-	c.bytesUsed += e.bytes
+	})
 	c.prefetches++
 	return true, evicted, nil
 }
@@ -371,16 +445,21 @@ func (c *Cache) Prefetch(key string, size int) (admitted bool, evicted []string,
 // request hit and which keys were evicted. Entries larger than the whole
 // cache are rejected with an error. LFU frequency counts survive
 // eviction (perfect history), so a previously hot model regains its
-// utility standing on re-admission.
+// utility standing on re-admission. Exactly one lookup, and one hit or
+// one miss, is counted per call with a valid size, so Hits+Misses always
+// equals Lookups.
 func (c *Cache) Request(key string, size int) (hit bool, evicted []string, err error) {
 	if size <= 0 {
 		return false, nil, fmt.Errorf("modelcache: size %d for %q", size, key)
 	}
-	if c.Touch(key) {
-		c.hits++
+	c.mu.Lock()
+	defer c.mu.Unlock()
+	c.lookups.Add(1)
+	if c.touch(key) {
+		c.hits.Add(1)
 		return true, nil, nil
 	}
-	c.misses++
+	c.misses.Add(1)
 	if size > c.capacity {
 		return false, nil, fmt.Errorf("modelcache: %q (size %d) exceeds capacity %d", key, size, c.capacity)
 	}
@@ -405,17 +484,14 @@ func (c *Cache) Request(key string, size int) (hit bool, evicted []string, err e
 		evicted = append(evicted, victim)
 	}
 	c.clock++
-	e := &entry{
+	c.insert(&entry{
 		key:      key,
 		size:     size,
 		bytes:    incomingBytes,
 		freq:     incomingFreq,
 		lastUsed: c.clock,
 		inserted: c.clock,
-	}
-	c.entries[key] = e
-	c.used += size
-	c.bytesUsed += e.bytes
+	})
 	return false, evicted, nil
 }
 
@@ -423,6 +499,8 @@ func (c *Cache) Request(key string, size int) (hit bool, evicted []string, err e
 // model), reporting whether it was present. It does not count as an
 // eviction.
 func (c *Cache) Remove(key string) bool {
+	c.mu.Lock()
+	defer c.mu.Unlock()
 	if _, ok := c.entries[key]; !ok {
 		return false
 	}
@@ -435,6 +513,7 @@ func (c *Cache) removeEntry(key string) {
 	c.used -= e.size
 	c.bytesUsed -= e.bytes
 	delete(c.entries, key)
+	c.resident.Add(-1)
 }
 
 // overCommitted reports whether admitting (size, bytes) would exceed
@@ -453,7 +532,7 @@ func (c *Cache) evictEntry(key string) {
 		c.prefetchWasted++
 	}
 	c.removeEntry(key)
-	c.evictions++
+	c.evictions.Add(1)
 }
 
 // pinned reports whether e is inside its prefetch first-use window.
@@ -534,6 +613,8 @@ func less(p Policy, a, b *entry) bool {
 // Keys returns the cached keys sorted lexicographically (a stable view
 // for tests and logs).
 func (c *Cache) Keys() []string {
+	c.mu.Lock()
+	defer c.mu.Unlock()
 	keys := make([]string, 0, len(c.entries))
 	for k := range c.entries {
 		keys = append(keys, k)
@@ -557,10 +638,12 @@ type Stats struct {
 
 // Stats returns a snapshot of the cache counters.
 func (c *Cache) Stats() Stats {
+	c.mu.Lock()
+	defer c.mu.Unlock()
 	return Stats{
-		Hits:      c.hits,
-		Misses:    c.misses,
-		Evictions: c.evictions,
+		Hits:      c.hits.Value(),
+		Misses:    c.misses.Value(),
+		Evictions: c.evictions.Value(),
 
 		Prefetches:     c.prefetches,
 		PrefetchHits:   c.prefetchHits,
@@ -568,19 +651,28 @@ func (c *Cache) Stats() Stats {
 	}
 }
 
+// Lookups returns the total Request calls with a valid size; it always
+// equals Stats().Hits + Stats().Misses at quiescence.
+func (c *Cache) Lookups() int64 { return c.lookups.Value() }
+
 // MissRate returns misses / (hits + misses), 0 when idle. This is the
 // Fig. 7(b) y-axis.
 func (c *Cache) MissRate() float64 {
-	total := c.hits + c.misses
+	c.mu.Lock()
+	defer c.mu.Unlock()
+	misses := c.misses.Value()
+	total := c.hits.Value() + misses
 	if total == 0 {
 		return 0
 	}
-	return float64(c.misses) / float64(total)
+	return float64(misses) / float64(total)
 }
 
 // Freq returns the recorded use count of key (0 when absent), exposed for
 // tests and the utility-distribution experiment.
 func (c *Cache) Freq(key string) int {
+	c.mu.Lock()
+	defer c.mu.Unlock()
 	if e, ok := c.entries[key]; ok {
 		return e.freq
 	}

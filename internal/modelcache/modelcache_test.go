@@ -2,6 +2,7 @@ package modelcache
 
 import (
 	"fmt"
+	"sync"
 	"testing"
 	"testing/quick"
 
@@ -17,6 +18,37 @@ func TestNewValidation(t *testing.T) {
 	}
 	if c := MustNew(3, LFU); c.Capacity() != 3 {
 		t.Fatal("capacity wrong")
+	}
+}
+
+func TestNewShardedValidation(t *testing.T) {
+	if _, err := NewSharded(0, LFU, 4); err == nil {
+		t.Fatal("zero capacity accepted")
+	}
+	if _, err := NewSharded(-3, LRU, 1); err == nil {
+		t.Fatal("negative capacity accepted")
+	}
+	if _, err := NewSharded(4, Policy(99), 2); err == nil {
+		t.Fatal("unknown policy accepted")
+	}
+}
+
+func TestShardedRequestRejectsBadSize(t *testing.T) {
+	c := MustNew(4, LFU)
+	if _, _, err := c.Request("m", 0); err == nil {
+		t.Fatal("zero size accepted")
+	}
+	if _, _, err := c.Request("m", -1); err == nil {
+		t.Fatal("negative size accepted")
+	}
+	// An entry larger than the whole capacity is rejected, and the
+	// failed admission still counts as a lookup and a miss.
+	if _, _, err := c.Request("m", 5); err == nil {
+		t.Fatal("oversized entry accepted")
+	}
+	st := c.Stats()
+	if st.Hits+st.Misses != c.Lookups() || c.Lookups() != 1 || st.Misses != 1 {
+		t.Fatalf("counters unbalanced after rejection: %+v lookups %d", st, c.Lookups())
 	}
 }
 
@@ -358,27 +390,43 @@ func TestBytesUsedTracksResidentSet(t *testing.T) {
 	}
 }
 
+// TestShardedBytesUsed keeps the byte ledger exact while goroutines
+// request, prefetch and remove concurrently; run with -race.
 func TestShardedBytesUsed(t *testing.T) {
 	size := func(key string) int64 { return int64(len(key)) * 100 }
-	s := MustNewSharded(8, LFU, 4)
+	s := MustNew(4, LFU)
 	s.SetSizer(size)
-	keys := []string{"a", "bb", "ccc", "dddd", "ee"}
-	for _, k := range keys {
-		if _, _, err := s.Request(k, 1); err != nil {
-			t.Fatal(err)
-		}
+	keys := []string{"a", "bb", "ccc", "dddd", "ee", "f"}
+	var wg sync.WaitGroup
+	for g := 0; g < 4; g++ {
+		wg.Add(1)
+		go func(g int) {
+			defer wg.Done()
+			for i := 0; i < 200; i++ {
+				k := keys[(g+i)%len(keys)]
+				switch (g + i) % 5 {
+				case 0:
+					s.Remove(k)
+				case 1:
+					if _, _, err := s.Prefetch(k, 1); err != nil {
+						t.Errorf("prefetch %q: %v", k, err)
+						return
+					}
+				default:
+					if _, _, err := s.Request(k, 1); err != nil {
+						t.Errorf("request %q: %v", k, err)
+						return
+					}
+				}
+			}
+		}(g)
 	}
-	var want int64
-	for _, k := range s.Keys() {
-		want += size(k)
-	}
-	if got := s.BytesUsed(); got != want {
-		t.Fatalf("Sharded BytesUsed %d, resident sum %d", got, want)
-	}
+	wg.Wait()
+	bytesInvariant(t, s, size)
 	for _, k := range s.Keys() {
 		s.Remove(k)
 	}
 	if got := s.BytesUsed(); got != 0 {
-		t.Fatalf("Sharded BytesUsed %d after emptying, want 0", got)
+		t.Fatalf("BytesUsed %d after emptying, want 0", got)
 	}
 }

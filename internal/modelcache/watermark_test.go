@@ -156,38 +156,37 @@ func TestWarmReadmitsWithoutEvictingOrCounting(t *testing.T) {
 }
 
 func TestShardedWatermarkAndWarm(t *testing.T) {
-	s := MustNewSharded(8, LFU, 4)
+	s := MustNew(8, LFU)
 	sizer := flatSizer(100)
 	s.SetSizer(sizer)
 	s.SetByteCapacity(800)
 	s.SetPinWindow(1000)
 
 	if !s.Warm("w1", 1, 3) || !s.Warm("w1", 1, 1) {
-		t.Fatal("sharded warm failed")
+		t.Fatal("warm failed")
 	}
 	if s.Freq("w1") != 3 {
-		t.Fatalf("sharded warm freq %d, want 3", s.Freq("w1"))
+		t.Fatalf("warm freq %d, want 3", s.Freq("w1"))
 	}
 	if ok, _, err := s.Prefetch("pin", 1); !ok || err != nil {
-		t.Fatalf("sharded prefetch: %v %v", ok, err)
+		t.Fatalf("prefetch: %v %v", ok, err)
 	}
 	for _, k := range []string{"d1", "d2", "d3", "d4", "d5", "d6"} {
 		if _, _, err := s.Request(k, 1); err != nil {
 			t.Fatal(err)
 		}
 	}
-	// Whatever the hash distribution did, the byte ledger must agree
-	// with the resident key set.
+	// The byte ledger must agree with the resident key set.
 	if got := residentBytes(s.Keys(), sizer); got != s.BytesUsed() {
 		t.Fatalf("accounting drift: BytesUsed %d, resident sum %d", s.BytesUsed(), got)
 	}
-	// Tighten to a per-shard ceiling below one entry: every unpinned
-	// resident is swept, the pinned prefetch alone survives.
-	s.SetWatermark(0.25)
+	// Tighten to a ceiling below one entry: every unpinned resident is
+	// swept, the pinned prefetch alone survives.
+	s.SetWatermark(0.1)
 	evicted := s.SweepToWatermark()
 	for _, k := range evicted {
 		if k == "pin" {
-			t.Fatal("sharded sweep evicted a pinned entry")
+			t.Fatal("sweep evicted a pinned entry")
 		}
 	}
 	if keys := s.Keys(); len(keys) != 1 || keys[0] != "pin" {

@@ -59,7 +59,7 @@ func TestMarkovGrowPreservesCounts(t *testing.T) {
 // appended models become plannable prefetch targets, duplicate names are
 // rejected, and a closed scheduler refuses to grow.
 func TestSchedulerExtendModels(t *testing.T) {
-	store := modelcache.MustNewSharded(4, modelcache.LFU, 1)
+	store := modelcache.MustNew(4, modelcache.LFU)
 	ff := newFakeFetcher()
 	s, err := NewScheduler(Config{Fetcher: ff, TopK: 1}, store, testModels(2))
 	if err != nil {

@@ -223,12 +223,12 @@ func TestLinkFetcherValidation(t *testing.T) {
 }
 
 // TestSchedulerWithLinkFetcherEndToEnd runs the full stack — Markov →
-// Scheduler → LinkFetcher → Sharded cache — under concurrent ticks,
+// Scheduler → LinkFetcher → Cache — under concurrent ticks,
 // plans and demand fetches. Run with -race.
 func TestSchedulerWithLinkFetcherEndToEnd(t *testing.T) {
 	models := testModels(4) // 1 MiB each → ~207 ms per transfer on Good
 	lf := newLF(t, alwaysGood(), models)
-	store := modelcache.MustNewSharded(3, modelcache.LFU, 1)
+	store := modelcache.MustNew(3, modelcache.LFU)
 	s, err := NewScheduler(Config{Fetcher: lf, TopK: 1}, store, models)
 	if err != nil {
 		t.Fatal(err)

@@ -51,7 +51,7 @@ type BackgroundStarter interface {
 	StartBackground(name string, done func(bytes int64, err error)) (cancel func() bool, err error)
 }
 
-// Store is the cache surface the scheduler warms. *modelcache.Sharded
+// Store is the cache surface the scheduler warms. *modelcache.Cache
 // satisfies it; the store must be safe for concurrent use, since
 // completed prefetches insert from background goroutines.
 type Store interface {

@@ -29,7 +29,7 @@ func (c *breakerClock) Advance(d time.Duration) {
 }
 
 func TestSchedulerBreakerPausesPlans(t *testing.T) {
-	store := modelcache.MustNewSharded(4, modelcache.LFU, 1)
+	store := modelcache.MustNew(4, modelcache.LFU)
 	clk := &breakerClock{}
 	br := breaker.New(breaker.Config{FailureThreshold: 1, Cooldown: time.Second, Now: clk.Now})
 	s, err := NewScheduler(Config{Fetcher: errFetcher{}, TopK: 1, Breaker: br}, store, testModels(2))
@@ -59,7 +59,7 @@ func TestSchedulerBreakerPausesPlans(t *testing.T) {
 }
 
 func TestSchedulerBreakerHalfOpenProbeResumesPrefetch(t *testing.T) {
-	store := modelcache.MustNewSharded(4, modelcache.LFU, 1)
+	store := modelcache.MustNew(4, modelcache.LFU)
 	clk := &breakerClock{}
 	br := breaker.New(breaker.Config{FailureThreshold: 1, Cooldown: time.Second, Now: clk.Now})
 	ff := newFakeFetcher()
@@ -101,7 +101,7 @@ func TestSchedulerBreakerHalfOpenProbeResumesPrefetch(t *testing.T) {
 }
 
 func TestSchedulerBreakerDemandOutcomesDriveState(t *testing.T) {
-	store := modelcache.MustNewSharded(4, modelcache.LFU, 1)
+	store := modelcache.MustNew(4, modelcache.LFU)
 	clk := &breakerClock{}
 	br := breaker.New(breaker.Config{FailureThreshold: 2, Cooldown: time.Second, Now: clk.Now})
 	s, err := NewScheduler(Config{Fetcher: errFetcher{}, TopK: 0, Breaker: br}, store, testModels(2))

@@ -85,7 +85,7 @@ func waitStarted(t *testing.T, f *fakeFetcher) string {
 }
 
 func TestSchedulerPlanPrefetchesPrediction(t *testing.T) {
-	store := modelcache.MustNewSharded(4, modelcache.LFU, 1)
+	store := modelcache.MustNew(4, modelcache.LFU)
 	ff := newFakeFetcher()
 	s, err := NewScheduler(Config{Fetcher: ff, TopK: 1}, store, testModels(3))
 	if err != nil {
@@ -113,7 +113,7 @@ func TestSchedulerPlanPrefetchesPrediction(t *testing.T) {
 }
 
 func TestSchedulerCancelsStaleTarget(t *testing.T) {
-	store := modelcache.MustNewSharded(4, modelcache.LFU, 1)
+	store := modelcache.MustNew(4, modelcache.LFU)
 	ff := newFakeFetcher()
 	s, err := NewScheduler(Config{Fetcher: ff, TopK: 1}, store, testModels(3))
 	if err != nil {
@@ -144,7 +144,7 @@ func TestSchedulerCancelsStaleTarget(t *testing.T) {
 }
 
 func TestSchedulerDemandPreemptsPrefetch(t *testing.T) {
-	store := modelcache.MustNewSharded(4, modelcache.LFU, 1)
+	store := modelcache.MustNew(4, modelcache.LFU)
 	ff := newFakeFetcher()
 	s, err := NewScheduler(Config{Fetcher: ff, TopK: 1}, store, testModels(3))
 	if err != nil {
@@ -180,7 +180,7 @@ func TestSchedulerDemandPreemptsPrefetch(t *testing.T) {
 }
 
 func TestSchedulerBudgetSkips(t *testing.T) {
-	store := modelcache.MustNewSharded(4, modelcache.LFU, 1)
+	store := modelcache.MustNew(4, modelcache.LFU)
 	ff := newFakeFetcher()
 	models := testModels(3) // 1 MiB each
 	s, err := NewScheduler(Config{
@@ -207,7 +207,7 @@ func TestSchedulerBudgetSkips(t *testing.T) {
 }
 
 func TestSchedulerDemandOnlyMode(t *testing.T) {
-	store := modelcache.MustNewSharded(4, modelcache.LFU, 1)
+	store := modelcache.MustNew(4, modelcache.LFU)
 	ff := newFakeFetcher()
 	s, err := NewScheduler(Config{Fetcher: ff, TopK: -1}, store, testModels(3))
 	if err != nil {
@@ -229,7 +229,7 @@ func TestSchedulerDemandOnlyMode(t *testing.T) {
 }
 
 func TestSchedulerSkipsResidentModels(t *testing.T) {
-	store := modelcache.MustNewSharded(4, modelcache.LFU, 1)
+	store := modelcache.MustNew(4, modelcache.LFU)
 	if _, _, err := store.Request("M_1", 1); err != nil {
 		t.Fatal(err)
 	}
@@ -251,7 +251,7 @@ func TestSchedulerSkipsResidentModels(t *testing.T) {
 }
 
 func TestSchedulerCloseDrains(t *testing.T) {
-	store := modelcache.MustNewSharded(4, modelcache.LFU, 1)
+	store := modelcache.MustNew(4, modelcache.LFU)
 	ff := newFakeFetcher()
 	s, err := NewScheduler(Config{Fetcher: ff}, store, testModels(3))
 	if err != nil {
@@ -272,7 +272,7 @@ func TestSchedulerCloseDrains(t *testing.T) {
 }
 
 func TestSchedulerConfigValidation(t *testing.T) {
-	store := modelcache.MustNewSharded(4, modelcache.LFU, 1)
+	store := modelcache.MustNew(4, modelcache.LFU)
 	ff := newFakeFetcher()
 	if _, err := NewScheduler(Config{}, store, testModels(2)); err == nil {
 		t.Fatal("nil fetcher accepted")
@@ -317,7 +317,7 @@ func (errFetcher) FetchModelNow(ctx context.Context, name string) (int64, time.D
 }
 
 func TestSchedulerCountsFailures(t *testing.T) {
-	store := modelcache.MustNewSharded(4, modelcache.LFU, 1)
+	store := modelcache.MustNew(4, modelcache.LFU)
 	s, err := NewScheduler(Config{Fetcher: errFetcher{}, TopK: 1}, store, testModels(2))
 	if err != nil {
 		t.Fatal(err)

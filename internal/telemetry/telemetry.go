@@ -4,8 +4,8 @@
 // per-frame pipeline, both built for simulated as well as wall-clock
 // time.
 //
-// Every instrumented component — the core runtime, the sharded model
-// cache, the prefetch scheduler, the circuit breaker, the repo client
+// Every instrumented component — the core runtime, the model cache,
+// the prefetch scheduler, the circuit breaker, the repo client
 // and server — registers its counters here under one naming scheme,
 //
 //	anole_<pkg>_<name>[_total|_seconds|_bytes]
