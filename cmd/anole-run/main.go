@@ -1,12 +1,12 @@
-// Command anole-run loads a profiled bundle and streams a synthetic
-// driving trace through the Online Model Inference loop on a simulated
-// device, printing per-clip accuracy and the run's latency, cache and
-// energy statistics.
+// Command anole-run loads a profiled bundle and streams synthetic
+// driving traces through the Online Model Inference loop on simulated
+// devices, printing per-stream accuracy and the run's latency, cache,
+// energy and memory statistics.
 //
 // Usage:
 //
 //	anole-run -bundle anole.bundle [-seed N] [-clips N] [-frames N]
-//	          [-device nano|tx2|laptop] [-cache N] [-streams N]
+//	          [-device NAME] [-cache N] [-streams N]
 //	          [-fleet SPEC] [-plan]
 //	          [-prefetch] [-prefetch-budget BYTES] [-link-stability P]
 //	          [-chaos] [-outage-rate P] [-corrupt-rate P]
@@ -16,16 +16,19 @@
 //	          [-checkpoint FILE] [-checkpoint-every TICKS] [-restore FILE]
 //	          [-metrics-addr HOST:PORT] [-json FILE|-]
 //
-// With -streams N > 1 the run multiplexes N independent frame streams
-// over one shared thread-safe model cache (core.MultiRuntime), printing
-// per-stream and aggregate statistics; -trace then writes one JSONL
-// file per stream, suffixed ".streamK".
+// Every run multiplexes -streams N independent frame streams (default
+// 1) over one shared model cache (core.MultiRuntime); a one-stream run
+// is the N = 1 case of the same pipeline. Each stream runs on its own
+// simulator of the -device registry profile (nano, tx2, laptop,
+// cpu-fast, cpu-slow). The summary prints one line per stream and the
+// aggregate; -trace writes one JSONL file per stream: the -trace path
+// itself for one stream, that path suffixed ".streamK" for stream K
+// when N > 1.
 //
-// With -fleet "nano:40,tx2:40,laptop:20" (requires -streams >= 2,
-// overrides -device) the streams run on a heterogeneous device fleet:
-// the spec's weights are scaled to the stream count and each stream is
-// deterministically assigned a registry profile (nano, tx2, laptop,
-// cpu-fast, cpu-slow; "name@mode" pins a power mode). Per-stream lines
+// With -fleet "nano:40,tx2:40,laptop:20" (overrides -device) the
+// streams run on a heterogeneous device fleet: the spec's weights are
+// scaled to the stream count and each stream is deterministically
+// assigned a registry profile ("name@mode" pins a power mode). Per-stream lines
 // gain the device class, the -json report gains a "fleet" block with
 // per-class aggregates, and with -slo the per-class p99 percentiles
 // export as anole_fleet_<class>_* gauges. With -plan (requires -fleet,
@@ -51,20 +54,20 @@
 //
 // With -thermal every device simulator runs the default thermal
 // throttling model: sustained load heats the device and derates compute.
-// With -deadline (requires -streams >= 2) each frame gets a latency
-// target and the fleet survives overload by shedding: a deadline
-// controller escalates a shed ladder (skip prefetch → serve the smallest
-// resident model → drop the frame) and a pressure monitor folds heat,
-// cache residency and backlog into Nominal/Elevated/Critical reactions.
-// Every offered frame gets a terminal verdict; the -json report gains a
-// "pressure" block and anole_pressure_* metrics count the damage.
+// With -deadline each frame gets a latency target and the fleet survives
+// overload by shedding: a deadline controller escalates a shed ladder
+// (skip prefetch → serve the smallest resident model → drop the frame)
+// and a pressure monitor folds heat, cache residency and backlog into
+// Nominal/Elevated/Critical reactions. Every offered frame gets a
+// terminal verdict; the -json report gains a "pressure" block and
+// anole_pressure_* metrics count the damage.
 //
 // With -checkpoint the run writes a versioned, CRC-checked warm-state
 // checkpoint (Markov transition counts, cache residency manifest, drift
 // windows, fleet generation) on completion — and every -checkpoint-every
 // ticks while running. With -restore the run warm-starts from such a
 // file; a corrupt, truncated or version-skewed checkpoint falls back to
-// a cold start (never a partial restore). Both require -streams >= 2.
+// a cold start (never a partial restore).
 //
 // With -adapt (requires -streams >= 2) the run closes the paper's
 // continual-adaptation loop in-process: stream 0's trace is replaced by
@@ -100,6 +103,7 @@ import (
 	"net/http/pprof"
 	"os"
 	"sort"
+	"strings"
 	"time"
 
 	"anole/internal/adapt"
@@ -141,13 +145,13 @@ func run(w io.Writer, args []string) error {
 		seed        = fs.Uint64("seed", 1, "seed of the world the bundle was profiled on")
 		clips       = fs.Int("clips", 3, "number of trace clips to stream")
 		frames      = fs.Int("frames", 150, "frames per trace clip")
-		devName     = fs.String("device", "tx2", "device profile: nano, tx2 or laptop")
+		devName     = fs.String("device", "tx2", "device profile of every stream: "+strings.Join(device.RegistryNames(), ", "))
 		cache       = fs.Int("cache", 5, "model cache capacity in compressed-model slots")
 		streams     = fs.Int("streams", 1, "independent frame streams sharing the model cache")
-		fleetSpec   = fs.String("fleet", "", "heterogeneous device fleet spec, e.g. \"nano:40,tx2:40,laptop:20\" (requires -streams >= 2; overrides -device)")
+		fleetSpec   = fs.String("fleet", "", "heterogeneous device fleet spec, e.g. \"nano:40,tx2:40,laptop:20\" (overrides -device)")
 		planOn      = fs.Bool("plan", false, "per-device planning: each stream runs the most accurate model variant (fp32/q8/q6/q4) its device can serve (requires -fleet, incompatible with -adapt)")
 		batchOn     = fs.Bool("batch", false, "batch each tick's ready streams through the decision and detection models (deterministic, bit-identical results)")
-		tracePath   = fs.String("trace", "", "write a JSONL decision trace to this file")
+		tracePath   = fs.String("trace", "", "write a JSONL decision trace to this file (suffixed \".streamK\" per stream when -streams > 1)")
 		prefetchOn  = fs.Bool("prefetch", false, "serve model bytes over a simulated device-cloud link with transition-aware prefetching")
 		pfBudget    = fs.Int64("prefetch-budget", 0, "max bytes in flight per prefetch plan (0 = unlimited)")
 		stability   = fs.Float64("link-stability", 0.7, "link-state self-transition probability in [0,1] (with -prefetch)")
@@ -158,16 +162,16 @@ func run(w io.Writer, args []string) error {
 		brkCool     = fs.Int("breaker-cooldown", 20, "frames an open breaker waits before a half-open probe (with -chaos)")
 		adaptOn     = fs.Bool("adapt", false, "close the continual-adaptation loop: inject an unseen scene on stream 0, detect drift, retrain in-process, canary and roll out (requires -streams >= 2)")
 		thermalOn   = fs.Bool("thermal", false, "enable the default thermal throttling model on every device simulator")
-		deadline    = fs.Duration("deadline", 0, "per-frame simulated latency target enabling deadline-aware shedding (requires -streams >= 2)")
-		ckptPath    = fs.String("checkpoint", "", "write a warm-state checkpoint to this file on completion (requires -streams >= 2)")
+		deadline    = fs.Duration("deadline", 0, "per-frame simulated latency target enabling deadline-aware shedding")
+		ckptPath    = fs.String("checkpoint", "", "write a warm-state checkpoint to this file on completion")
 		ckptEvery   = fs.Int("checkpoint-every", 0, "also checkpoint every N frame ticks during the run (with -checkpoint, no -adapt)")
-		restorePath = fs.String("restore", "", "warm-start from this checkpoint file; corrupt or unreadable falls back to cold start (requires -streams >= 2)")
+		restorePath = fs.String("restore", "", "warm-start from this checkpoint file; corrupt or unreadable falls back to cold start")
 		driftWin    = fs.Int("drift-window", 30, "drift-detector window in frames (with -adapt)")
 		canaryFr    = fs.Int("canary-frames", 60, "canary-stream frames before a rollout verdict (with -adapt)")
 		minF1Ratio  = fs.Float64("min-f1-ratio", 0.5, "canary-to-incumbent F1 ratio below which a canary rolls back (with -adapt)")
-		flightOn    = fs.Bool("flight", false, "run the anomaly flight recorder: bounded event rings frozen and dumped when a rollback, Critical pressure, quarantine or checkpoint reject lands (requires -streams >= 2)")
+		flightOn    = fs.Bool("flight", false, "run the anomaly flight recorder: bounded event rings frozen and dumped when a rollback, Critical pressure, quarantine or checkpoint reject lands")
 		flightDump  = fs.String("flight-dump", "", "write the flight-recorder dump artifact to this file the moment an anomaly trips (with -flight)")
-		sloOn       = fs.Bool("slo", false, "evaluate fleet SLOs (frame p99 latency, served/degraded fractions, swap staleness) with multi-window burn rates; adds the anole_slo_* series and an \"slo\" block to -json (requires -streams >= 2)")
+		sloOn       = fs.Bool("slo", false, "evaluate fleet SLOs (frame p99 latency, served/degraded fractions, swap staleness) with multi-window burn rates; adds the anole_slo_* series and an \"slo\" block to -json")
 		sloLatency  = fs.Duration("slo-latency-target", 50*time.Millisecond, "frame p99 latency objective (with -slo)")
 		sloStale    = fs.Duration("slo-staleness-target", 10*time.Second, "publish-to-swap staleness objective (with -slo)")
 		metricsAddr = fs.String("metrics-addr", "", "serve live /metrics, /debug/spans, /debug/flight and /debug/pprof on this address during the run (e.g. 127.0.0.1:0)")
@@ -185,9 +189,6 @@ func run(w io.Writer, args []string) error {
 	if *chaosOn {
 		*prefetchOn = true
 	}
-	if (*deadline > 0 || *ckptPath != "" || *restorePath != "") && *streams < 2 {
-		return fmt.Errorf("-deadline, -checkpoint and -restore drive the multi-stream fleet: -streams must be >= 2")
-	}
 	if *ckptEvery < 0 {
 		return fmt.Errorf("-checkpoint-every must be >= 0, got %d", *ckptEvery)
 	}
@@ -197,14 +198,8 @@ func run(w io.Writer, args []string) error {
 	if *ckptEvery > 0 && *adaptOn {
 		return fmt.Errorf("-checkpoint-every cannot chunk an -adapt run (checkpoint is still written on completion)")
 	}
-	if (*flightOn || *sloOn) && *streams < 2 {
-		return fmt.Errorf("-flight and -slo observe the multi-stream fleet: -streams must be >= 2")
-	}
 	if *flightDump != "" && !*flightOn {
 		return fmt.Errorf("-flight-dump needs -flight")
-	}
-	if *fleetSpec != "" && *streams < 2 {
-		return fmt.Errorf("-fleet assigns devices across the multi-stream fleet: -streams must be >= 2")
 	}
 	if *planOn && *fleetSpec == "" {
 		return fmt.Errorf("-plan selects variants per fleet device: it needs -fleet")
@@ -219,21 +214,19 @@ func run(w io.Writer, args []string) error {
 	}
 	fmt.Fprintf(w, "bundle: %d compressed models, feat dim %d\n", bundle.NumModels(), bundle.FeatDim)
 
-	var profile device.Profile
-	switch *devName {
-	case "nano":
-		profile = device.JetsonNano
-	case "tx2":
-		profile = device.JetsonTX2NX
-	case "laptop":
-		profile = device.Laptop
-	default:
-		return fmt.Errorf("unknown device %q (want nano, tx2 or laptop)", *devName)
+	profile, ok := device.LookupProfile(*devName)
+	if !ok {
+		return fmt.Errorf("unknown device %q (want one of %s)", *devName, strings.Join(device.RegistryNames(), ", "))
 	}
-	var fleet device.Fleet
+	fleet := device.UniformFleet(profile, *streams)
+	platform := profile.Name
 	if *fleetSpec != "" {
 		if fleet, err = device.BuildFleet(*fleetSpec, *streams, *seed); err != nil {
 			return err
+		}
+		platform = "fleet " + *fleetSpec
+		if *planOn {
+			platform += " (planned)"
 		}
 	}
 	reg := telemetry.NewRegistry()
@@ -334,63 +327,28 @@ func run(w io.Writer, args []string) error {
 		metricsURL = ln.Addr().String()
 		fmt.Fprintf(w, "debug: serving /metrics, /debug/spans, /debug/pprof on http://%s\n", metricsURL)
 	}
-	settled := func() {
-		if testHookMetricsSettled != nil && metricsURL != "" {
-			testHookMetricsSettled(metricsURL)
-		}
-	}
 
-	if *streams > 1 {
-		var ao *adaptOptions
-		if *adaptOn {
-			ao = &adaptOptions{DriftWindow: *driftWin, CanaryFrames: *canaryFr, MinF1Ratio: *minF1Ratio}
-		}
-		ro := runOptions{
-			Thermal:         *thermalOn,
-			Fleet:           fleet,
-			FleetSpec:       *fleetSpec,
-			Plan:            *planOn,
-			Deadline:        *deadline,
-			Checkpoint:      *ckptPath,
-			CheckpointEvery: *ckptEvery,
-			Restore:         *restorePath,
-			Flight:          rec,
-			SLO:             eng,
-		}
-		if err := runMulti(w, bundle, profile, *streams, *cache, *clips, *frames, *seed, *batchOn, *tracePath, pfCfg, lf, ao, ro, *jsonPath, reg, spans); err != nil {
-			return err
-		}
-		settled()
-		return nil
-	}
-
-	sim, err := device.NewSimulator(profile)
-	if err != nil {
-		return err
-	}
-	if *thermalOn {
-		sim.EnableThermal(device.DefaultThermal())
-	}
-	rt, err := core.NewRuntime(bundle, core.RuntimeConfig{
+	mcfg := core.MultiRuntimeConfig{
+		Streams:    *streams,
 		CacheSlots: *cache,
-		Device:     sim,
+		Fleet:      fleet,
 		Prefetch:   pfCfg,
 		Metrics:    reg,
 		Tracer:     spans,
-	})
+		Batch:      *batchOn,
+		Deadline:   *deadline,
+		Flight:     rec,
+		SLO:        eng,
+	}
+	if *planOn {
+		mcfg.Plan = &core.PlanConfig{}
+	}
+	if *thermalOn {
+		mcfg.Thermal = device.DefaultThermal()
+	}
+	mrt, err := core.NewMultiRuntime(bundle, mcfg)
 	if err != nil {
 		return err
-	}
-
-	var tracer *trace.Writer
-	if *tracePath != "" {
-		tf, err := os.Create(*tracePath)
-		if err != nil {
-			return err
-		}
-		defer tf.Close()
-		tracer = trace.NewWriter(tf)
-		defer tracer.Flush()
 	}
 
 	world, err := synth.NewWorld(synth.DefaultConfig(*seed))
@@ -403,53 +361,241 @@ func run(w io.Writer, args []string) error {
 	traceProfile.FramesPerClip = *frames
 	rng := xrand.NewLabeled(*seed, "anole-run-trace")
 
-	fmt.Fprintf(w, "streaming %d clips x %d frames on %s (cache %d, LFU)\n\n",
-		*clips, *frames, profile.Name, *cache)
-	for c := 0; c < *clips; c++ {
-		clip := world.GenerateClip(traceProfile, 9000+c, rng.Split(uint64(c)))
-		var mean float64
-		for _, f := range clip.Frames {
-			res, err := rt.ProcessFrame(f)
+	inputs := make([][]*synth.Frame, *streams)
+	for s := range inputs {
+		for c := 0; c < *clips; c++ {
+			// Distinct clip IDs per stream so the streams see different
+			// (but reproducible) scene sequences.
+			id := s*(*clips) + c
+			clip := world.GenerateClip(traceProfile, 9000+id, rng.Split(uint64(id)))
+			inputs[s] = append(inputs[s], clip.Frames...)
+		}
+	}
+
+	var loop *adapt.Loop
+	var novel synth.Scene
+	if *adaptOn {
+		if novel, err = unseenScene(bundle); err != nil {
+			return err
+		}
+		// Stream 0 (the canary stream) meets the unseen scene for the
+		// whole run; the other streams stay on in-distribution traces and
+		// anchor the rollout's incumbent telemetry.
+		arng := rng.Split(uint64(*streams * *clips))
+		for i := range inputs[0] {
+			inputs[0][i] = world.GenerateFrame(novel, 1, arng)
+		}
+		loop, err = adaptLoop(mrt, bundle, world, *seed, lf, adapt.LoopConfig{
+			Drift: adapt.DriftConfig{Window: *driftWin, Cooldown: 1},
+			// The candidate serves a scene the incumbent cannot, so shared-
+			// scene slack is tolerated by the default -min-f1-ratio; a broken
+			// model still lands far below.
+			Rollout: adapt.RolloutConfig{CanaryFrames: *canaryFr, MinF1Ratio: *minF1Ratio},
+			Metrics: reg,
+			Tracer:  spans,
+			Flight:  rec,
+			SLO:     eng,
+		})
+		if err != nil {
+			return err
+		}
+	}
+
+	if *restorePath != "" {
+		// A bad checkpoint (missing, truncated, corrupt, version-skewed)
+		// must cost only warmth: log it and cold-start.
+		if c, err := pressure.LoadCheckpoint(*restorePath); err != nil {
+			fmt.Fprintf(w, "restore: %v; cold start\n", err)
+		} else if warmed, err := mrt.RestoreCheckpoint(c); err != nil {
+			fmt.Fprintf(w, "restore: %v; cold start\n", err)
+		} else {
+			windows := 0
+			if loop != nil {
+				windows = loop.RestoreCheckpoint(c)
+			}
+			fmt.Fprintf(w, "restore: warmed %d models from %s (generation %d, drift windows %d)\n",
+				warmed, *restorePath, c.Generation, windows)
+		}
+	}
+
+	var obs core.StreamObserver
+	var tracers []*trace.Writer
+	traceDest := *tracePath
+	if *tracePath != "" {
+		if *streams > 1 {
+			traceDest = fmt.Sprintf("%s.stream{0..%d}", *tracePath, *streams-1)
+		}
+		tracers = make([]*trace.Writer, *streams)
+		for s := range tracers {
+			path := *tracePath
+			if *streams > 1 {
+				path = fmt.Sprintf("%s.stream%d", *tracePath, s)
+			}
+			tf, err := os.Create(path)
 			if err != nil {
 				return err
 			}
-			mean += res.Metrics.F1
-			if tracer != nil {
-				if err := tracer.Record(bundle, f, res); err != nil {
-					return err
-				}
-			}
+			defer tf.Close()
+			tracers[s] = trace.NewWriter(tf)
+			defer tracers[s].Flush()
 		}
-		if len(clip.Frames) > 0 {
-			mean /= float64(len(clip.Frames))
+		// Observers run serially in (tick, stream) order; each stream
+		// writes its own file.
+		obs = func(stream int, f *synth.Frame, res core.FrameResult) error {
+			return tracers[stream].Record(bundle, f, res)
 		}
-		fmt.Fprintf(w, "clip %d: mean frame F1 %.3f over %d frames\n", c+1, mean, len(clip.Frames))
 	}
 
-	// Drain any background prefetches so the counters are settled, then
-	// snapshot.
-	sched := rt.Prefetcher()
-	rt.Close()
-	st := rt.Stats()
-	fmt.Fprintf(w, "\nframes %d  switches %d  mean scene duration %.1f frames\n",
-		st.Frames, st.Switches, st.MeanSceneDuration())
-	fmt.Fprintf(w, "overall F1 %.3f (P %.3f / R %.3f)\n",
-		st.Detection.F1, st.Detection.Precision, st.Detection.Recall)
-	fmt.Fprintf(w, "cache: hits %d misses %d evictions %d (miss rate %.2f)\n",
-		st.Cache.Hits, st.Cache.Misses, st.Cache.Evictions, st.MissRate)
-	printPrefetch(w, st, sched)
-	fmt.Fprintf(w, "device: mean latency %.1f ms/frame, %.1f FPS busy, %.2f W avg, %.1f J total\n",
-		float64(st.TotalLatency.Milliseconds())/float64(st.Frames),
-		sim.FPS(), sim.AveragePowerW(), sim.EnergyJ())
-	fmt.Fprintf(w, "memory: resident %.0f MB, peak %.0f MB of %.0f MB\n",
-		sim.ResidentMemoryMB(), sim.PeakMemoryMB(), profile.GPUMemoryMB)
-	if tracer != nil {
-		fmt.Fprintf(w, "trace: %d events written to %s\n", tracer.Count(), *tracePath)
+	mode := "unbatched"
+	if *batchOn {
+		mode = fmt.Sprintf("batched, %d detect workers", mrt.Workers())
 	}
-	if err := writeReport(w, *jsonPath, buildReport(st, sched, pfBreaker(pfCfg), nil, nil, nil, nil, reg, spans)); err != nil {
+	fmt.Fprintf(w, "streaming %d streams x %d clips x %d frames on %s (cache %d, LFU, %s)\n\n",
+		*streams, *clips, *frames, platform, *cache, mode)
+	if loop != nil {
+		fmt.Fprintf(w, "adapt: stream 0 enters unseen scene %s (drift window %d, canary %d frames)\n\n",
+			novel, *driftWin, *canaryFr)
+		if _, err := loop.Run(inputs, obs); err != nil {
+			return err
+		}
+	} else if *ckptEvery > 0 {
+		// Chunked run: process -checkpoint-every ticks at a time and snap
+		// a checkpoint after each chunk, so a process death loses at most
+		// one chunk of warmth.
+		maxLen := 0
+		for s := range inputs {
+			if len(inputs[s]) > maxLen {
+				maxLen = len(inputs[s])
+			}
+		}
+		chunk := make([][]*synth.Frame, *streams)
+		for start := 0; start < maxLen; start += *ckptEvery {
+			for s := range inputs {
+				chunk[s] = nil
+				if start < len(inputs[s]) {
+					end := start + *ckptEvery
+					if end > len(inputs[s]) {
+						end = len(inputs[s])
+					}
+					chunk[s] = inputs[s][start:end]
+				}
+			}
+			if _, err := mrt.ProcessStreams(chunk, obs); err != nil {
+				return err
+			}
+			if err := saveCheckpoint(mrt, loop, *ckptPath); err != nil {
+				return err
+			}
+		}
+	} else if _, err := mrt.ProcessStreams(inputs, obs); err != nil {
 		return err
 	}
-	settled()
+	if *ckptPath != "" {
+		// Snapshot before Close detaches the scheduler (the Markov counts
+		// live behind it); the cache manifest is thread-safe against any
+		// still-draining prefetches.
+		if err := saveCheckpoint(mrt, loop, *ckptPath); err != nil {
+			return err
+		}
+		fmt.Fprintf(w, "checkpoint: wrote %s\n", *ckptPath)
+	}
+
+	for s := 0; s < *streams; s++ {
+		st := mrt.StreamStats(s)
+		sim := mrt.StreamDevice(s)
+		tag := ""
+		if *fleetSpec != "" {
+			tag = " [" + fleet[s].Class
+			if v := mrt.StreamVariant(s); v != "" {
+				tag += " " + v
+			}
+			tag += "]"
+		}
+		fmt.Fprintf(w, "stream %d%s: %d frames  F1 %.3f  switches %d  %.1f FPS busy  %.2f W avg  %.1f J  memory resident %.0f MB, peak %.0f MB of %.0f MB\n",
+			s, tag, st.Frames, st.Detection.F1, st.Switches, sim.FPS(), sim.AveragePowerW(), sim.EnergyJ(),
+			sim.ResidentMemoryMB(), sim.PeakMemoryMB(), sim.Profile().GPUMemoryMB)
+	}
+	var fleetClasses []classReport
+	if *fleetSpec != "" {
+		fleetClasses = fleetReport(mrt)
+	}
+	for _, cr := range fleetClasses {
+		variants := ""
+		for _, v := range cr.Variants {
+			if variants != "" {
+				variants += " "
+			}
+			variants += fmt.Sprintf("%s×%d", v.Variant, v.Streams)
+		}
+		if variants != "" {
+			variants = "  variants " + variants
+		}
+		fmt.Fprintf(w, "fleet %s (%s): %d streams  %d frames  mean %.1f ms/frame  %.1f J%s\n",
+			cr.Class, cr.Profile, cr.Streams, cr.Frames, cr.MeanLatencyMs, cr.EnergyJ, variants)
+	}
+
+	// Drain the shared scheduler before snapshotting the aggregate, so
+	// cache and scheduler counters are settled.
+	sched := mrt.Prefetcher()
+	mrt.Close()
+	agg := mrt.Stats()
+	fmt.Fprintf(w, "\naggregate: frames %d  switches %d  mean scene duration %.1f frames  F1 %.3f (P %.3f / R %.3f)\n",
+		agg.Frames, agg.Switches, agg.MeanSceneDuration(), agg.Detection.F1, agg.Detection.Precision, agg.Detection.Recall)
+	fmt.Fprintf(w, "shared cache: hits %d misses %d evictions %d (miss rate %.2f)\n",
+		agg.Cache.Hits, agg.Cache.Misses, agg.Cache.Evictions, agg.MissRate)
+	printPrefetch(w, agg, sched)
+	if ms := mrt.SimulatedMakespan().Seconds(); ms > 0 {
+		fmt.Fprintf(w, "simulated makespan %.1f ms  mean latency %.1f ms/frame  aggregate %.1f frames/s (vs %.1f sequential)\n",
+			1e3*ms, 1e3*agg.TotalLatency.Seconds()/float64(agg.Frames), float64(agg.Frames)/ms, float64(agg.Frames)/agg.TotalLatency.Seconds())
+	}
+	press := mrt.PressureStats()
+	if press != nil {
+		fmt.Fprintf(w, "pressure: level %s  rung %s  shed %d  downgraded %d  quarantined %d frames (%d quarantines)\n",
+			press.Level, press.Rung, press.ShedFrames, press.DowngradedServed,
+			press.QuarantinedFrames, press.Quarantines)
+	}
+	var ast *adapt.LoopStats
+	if loop != nil {
+		st := loop.Stats()
+		ast = &st
+		fmt.Fprintf(w, "adapt: drift events %d  reports %d sent / %d lost (%d bytes up)\n",
+			st.DriftEvents, st.ReportsSent, st.ReportFailures, st.ReportBytes)
+		fmt.Fprintf(w, "adapt: canaries %d  promotions %d  rollbacks %d  rejected %d  fleet generation %d\n",
+			st.CanaryStarts, st.Promotions, st.Rollbacks, st.RejectedCandidates, st.FleetGeneration)
+	}
+	if eng != nil {
+		sst := eng.Status()
+		fmt.Fprintf(w, "slo: p99 %.1f ms  served %.3f  degraded %.3f  staleness %.1f ms  alerts %v\n",
+			1e3*sst.Long.LatencyP99.Seconds(), sst.Long.ServedFraction,
+			sst.Long.DegradedFraction, 1e3*sst.Long.SwapStaleness.Seconds(), sst.Alerts)
+		for _, cs := range sst.Classes {
+			fmt.Fprintf(w, "slo fleet %s: p99 max %.1f ms  p99 median %.1f ms  served min %.3f  (%d streams)\n",
+				cs.Class, 1e3*cs.LatencyP99Max.Seconds(), 1e3*cs.LatencyP99P50.Seconds(),
+				cs.ServedFractionMin, cs.Streams)
+		}
+	}
+	if rec != nil {
+		line := fmt.Sprintf("flight: %d events retained", len(rec.Snapshot()))
+		if d := rec.LastDump(); d != nil {
+			line += fmt.Sprintf("  frozen on anomaly %q (%d events dropped since)", d.Reason, rec.Dropped())
+		}
+		fmt.Fprintln(w, line)
+	}
+	if tracers != nil {
+		total := 0
+		for _, tr := range tracers {
+			total += tr.Count()
+		}
+		fmt.Fprintf(w, "trace: %d events written to %s\n", total, traceDest)
+	}
+	rep := buildReport(agg, sched, pfBreaker(pfCfg), ast, press, eng, rec, reg, spans)
+	rep.Fleet = fleetClasses
+	if err := writeReport(w, *jsonPath, rep); err != nil {
+		return err
+	}
+	if testHookMetricsSettled != nil && metricsURL != "" {
+		testHookMetricsSettled(metricsURL)
+	}
 	return nil
 }
 
@@ -679,31 +825,6 @@ func linkPrefetchConfig(bundle *core.Bundle, stability float64, budget int64, se
 	return cfg, lf, nil
 }
 
-// adaptOptions carries the -adapt knobs into runMulti.
-type adaptOptions struct {
-	DriftWindow  int
-	CanaryFrames int
-	MinF1Ratio   float64
-}
-
-// runOptions carries the overload-survival and observability knobs into
-// runMulti.
-type runOptions struct {
-	Thermal bool
-	// Fleet is the -fleet heterogeneous device assignment (nil = the
-	// uniform -device profile); FleetSpec is the raw spec for display.
-	// Plan enables per-device variant selection over the fleet.
-	Fleet           device.Fleet
-	FleetSpec       string
-	Plan            bool
-	Deadline        time.Duration
-	Checkpoint      string
-	CheckpointEvery int
-	Restore         string
-	Flight          *flight.Recorder
-	SLO             *slo.Engine
-}
-
 // saveCheckpoint snapshots the fleet's warm state (plus the adapt
 // loop's generation and drift windows when present) and writes it
 // atomically.
@@ -744,10 +865,11 @@ func unseenScene(b *core.Bundle) (synth.Scene, error) {
 // adaptLoop wires the in-process device→cloud→device loop behind -adapt:
 // a versioned repository seeded with the running bundle, a retraining
 // controller over frames regenerated for the bundle's training scenes,
-// and the canary rollout loop around the fleet. With -prefetch the
-// transport learns a new generation's models before they become
-// fetchable.
-func adaptLoop(mrt *core.MultiRuntime, bundle *core.Bundle, world *synth.World, seed uint64, ao *adaptOptions, lf *prefetch.LinkFetcher, rec *flight.Recorder, eng *slo.Engine, reg *telemetry.Registry, spans *telemetry.Tracer) (*adapt.Loop, error) {
+// and the canary rollout loop around the fleet. cfg carries the drift,
+// rollout and observability settings; adaptLoop fills in the submitter,
+// the bundle source and the pressure gate. With -prefetch the transport
+// learns a new generation's models before they become fetchable.
+func adaptLoop(mrt *core.MultiRuntime, bundle *core.Bundle, world *synth.World, seed uint64, lf *prefetch.LinkFetcher, cfg adapt.LoopConfig) (*adapt.Loop, error) {
 	srv, err := repo.NewServer(bundle)
 	if err != nil {
 		return nil, err
@@ -771,25 +893,14 @@ func adaptLoop(mrt *core.MultiRuntime, bundle *core.Bundle, world *synth.World, 
 		TrainFrames: trainFrames,
 		Train:       detect.TrainConfig{Epochs: 20},
 		Sampling:    sampling.Config{Kappa: 600},
-		Metrics:     reg,
-		Tracer:      spans,
+		Metrics:     cfg.Metrics,
+		Tracer:      cfg.Tracer,
 	})
 	if err != nil {
 		return nil, err
 	}
-	cfg := adapt.LoopConfig{
-		Drift: adapt.DriftConfig{Window: ao.DriftWindow, Cooldown: 1},
-		// The candidate serves a scene the incumbent cannot, so shared-
-		// scene slack is tolerated by the default -min-f1-ratio; a broken
-		// model still lands far below.
-		Rollout:   adapt.RolloutConfig{CanaryFrames: ao.CanaryFrames, MinF1Ratio: ao.MinF1Ratio},
-		Submitter: ctrl,
-		Source:    adapt.NewServerSource(srv),
-		Metrics:   reg,
-		Tracer:    spans,
-		Flight:    rec,
-		SLO:       eng,
-	}
+	cfg.Submitter = ctrl
+	cfg.Source = adapt.NewServerSource(srv)
 	if lf != nil {
 		cfg.RegisterModels = lf.AddModels
 	}
@@ -797,266 +908,6 @@ func adaptLoop(mrt *core.MultiRuntime, bundle *core.Bundle, world *synth.World, 
 	// fleet reads Critical (nil monitor when -deadline is off).
 	cfg.Pressure = mrt.PressureMonitor()
 	return adapt.NewLoop(mrt, cfg)
-}
-
-// runMulti drives the multi-stream path: every stream gets its own
-// generated clip sequence and device simulator, all streams share one
-// model cache. With ao non-nil the run goes through the
-// adaptation loop instead of bare ProcessStreams.
-func runMulti(w io.Writer, bundle *core.Bundle, profile device.Profile, streams, cache, clips, frames int, seed uint64, batch bool, tracePath string, pfCfg *prefetch.Config, lf *prefetch.LinkFetcher, ao *adaptOptions, ro runOptions, jsonPath string, reg *telemetry.Registry, spans *telemetry.Tracer) error {
-	mcfg := core.MultiRuntimeConfig{
-		Streams:    streams,
-		CacheSlots: cache,
-		Fleet:      device.UniformFleet(profile, streams),
-		Prefetch:   pfCfg,
-		Metrics:    reg,
-		Tracer:     spans,
-		Batch:      batch,
-		Deadline:   ro.Deadline,
-		Flight:     ro.Flight,
-		SLO:        ro.SLO,
-	}
-	if ro.Fleet != nil {
-		mcfg.Fleet = ro.Fleet
-	}
-	if ro.Plan {
-		mcfg.Plan = &core.PlanConfig{}
-	}
-	if ro.Thermal {
-		mcfg.Thermal = device.DefaultThermal()
-	}
-	mrt, err := core.NewMultiRuntime(bundle, mcfg)
-	if err != nil {
-		return err
-	}
-
-	world, err := synth.NewWorld(synth.DefaultConfig(seed))
-	if err != nil {
-		return err
-	}
-	traceProfile := synth.DefaultProfiles(1)[1]
-	traceProfile.FramesPerClip = frames
-	rng := xrand.NewLabeled(seed, "anole-run-trace")
-
-	inputs := make([][]*synth.Frame, streams)
-	for s := 0; s < streams; s++ {
-		for c := 0; c < clips; c++ {
-			// Distinct clip IDs per stream so the streams see different
-			// (but reproducible) scene sequences.
-			id := s*clips + c
-			clip := world.GenerateClip(traceProfile, 9000+id, rng.Split(uint64(id)))
-			inputs[s] = append(inputs[s], clip.Frames...)
-		}
-	}
-
-	var loop *adapt.Loop
-	var novel synth.Scene
-	if ao != nil {
-		var err error
-		if novel, err = unseenScene(bundle); err != nil {
-			return err
-		}
-		// Stream 0 (the canary stream) meets the unseen scene for the
-		// whole run; the other streams stay on in-distribution traces and
-		// anchor the rollout's incumbent telemetry.
-		arng := rng.Split(uint64(streams * clips))
-		for i := range inputs[0] {
-			inputs[0][i] = world.GenerateFrame(novel, 1, arng)
-		}
-		if loop, err = adaptLoop(mrt, bundle, world, seed, ao, lf, ro.Flight, ro.SLO, reg, spans); err != nil {
-			return err
-		}
-	}
-
-	if ro.Restore != "" {
-		// A bad checkpoint (missing, truncated, corrupt, version-skewed)
-		// must cost only warmth: log it and cold-start.
-		if c, err := pressure.LoadCheckpoint(ro.Restore); err != nil {
-			fmt.Fprintf(w, "restore: %v; cold start\n", err)
-		} else if warmed, err := mrt.RestoreCheckpoint(c); err != nil {
-			fmt.Fprintf(w, "restore: %v; cold start\n", err)
-		} else {
-			windows := 0
-			if loop != nil {
-				windows = loop.RestoreCheckpoint(c)
-			}
-			fmt.Fprintf(w, "restore: warmed %d models from %s (generation %d, drift windows %d)\n",
-				warmed, ro.Restore, c.Generation, windows)
-		}
-	}
-
-	var obs core.StreamObserver
-	var tracers []*trace.Writer
-	if tracePath != "" {
-		tracers = make([]*trace.Writer, streams)
-		for s := 0; s < streams; s++ {
-			tf, err := os.Create(fmt.Sprintf("%s.stream%d", tracePath, s))
-			if err != nil {
-				return err
-			}
-			defer tf.Close()
-			tracers[s] = trace.NewWriter(tf)
-			defer tracers[s].Flush()
-		}
-		// Observers run serially in (tick, stream) order; each stream
-		// writes its own file.
-		obs = func(stream int, f *synth.Frame, res core.FrameResult) error {
-			return tracers[stream].Record(bundle, f, res)
-		}
-	}
-
-	mode := "unbatched"
-	if batch {
-		mode = fmt.Sprintf("batched, %d detect workers", mrt.Workers())
-	}
-	platform := profile.Name
-	if ro.Fleet != nil {
-		platform = "fleet " + ro.FleetSpec
-		if ro.Plan {
-			platform += " (planned)"
-		}
-	}
-	fmt.Fprintf(w, "streaming %d streams x %d clips x %d frames on %s (cache %d, LFU, %s)\n\n",
-		streams, clips, frames, platform, cache, mode)
-	if loop != nil {
-		fmt.Fprintf(w, "adapt: stream 0 enters unseen scene %s (drift window %d, canary %d frames)\n\n",
-			novel, ao.DriftWindow, ao.CanaryFrames)
-		if _, err := loop.Run(inputs, obs); err != nil {
-			return err
-		}
-	} else if ro.CheckpointEvery > 0 {
-		// Chunked run: process CheckpointEvery ticks at a time and snap a
-		// checkpoint after each chunk, so a process death loses at most
-		// one chunk of warmth.
-		maxLen := 0
-		for s := range inputs {
-			if len(inputs[s]) > maxLen {
-				maxLen = len(inputs[s])
-			}
-		}
-		chunk := make([][]*synth.Frame, streams)
-		for start := 0; start < maxLen; start += ro.CheckpointEvery {
-			for s := range inputs {
-				chunk[s] = nil
-				if start < len(inputs[s]) {
-					end := start + ro.CheckpointEvery
-					if end > len(inputs[s]) {
-						end = len(inputs[s])
-					}
-					chunk[s] = inputs[s][start:end]
-				}
-			}
-			if _, err := mrt.ProcessStreams(chunk, obs); err != nil {
-				return err
-			}
-			if err := saveCheckpoint(mrt, loop, ro.Checkpoint); err != nil {
-				return err
-			}
-		}
-	} else if _, err := mrt.ProcessStreams(inputs, obs); err != nil {
-		return err
-	}
-	if ro.Checkpoint != "" {
-		// Snapshot before Close detaches the scheduler (the Markov counts
-		// live behind it); the cache manifest is thread-safe against any
-		// still-draining prefetches.
-		if err := saveCheckpoint(mrt, loop, ro.Checkpoint); err != nil {
-			return err
-		}
-		fmt.Fprintf(w, "checkpoint: wrote %s\n", ro.Checkpoint)
-	}
-
-	for s := 0; s < streams; s++ {
-		st := mrt.StreamStats(s)
-		sim := mrt.StreamDevice(s)
-		tag := ""
-		if ro.Fleet != nil {
-			tag = " [" + ro.Fleet[s].Class
-			if v := mrt.StreamVariant(s); v != "" {
-				tag += " " + v
-			}
-			tag += "]"
-		}
-		fmt.Fprintf(w, "stream %d%s: %d frames  F1 %.3f  switches %d  %.1f FPS busy  %.1f J\n",
-			s, tag, st.Frames, st.Detection.F1, st.Switches, sim.FPS(), sim.EnergyJ())
-	}
-	var fleetClasses []classReport
-	if ro.Fleet != nil {
-		fleetClasses = fleetReport(mrt)
-	}
-	for _, cr := range fleetClasses {
-		variants := ""
-		for _, v := range cr.Variants {
-			if variants != "" {
-				variants += " "
-			}
-			variants += fmt.Sprintf("%s×%d", v.Variant, v.Streams)
-		}
-		if variants != "" {
-			variants = "  variants " + variants
-		}
-		fmt.Fprintf(w, "fleet %s (%s): %d streams  %d frames  mean %.1f ms/frame  %.1f J%s\n",
-			cr.Class, cr.Profile, cr.Streams, cr.Frames, cr.MeanLatencyMs, cr.EnergyJ, variants)
-	}
-
-	// Drain the shared scheduler before snapshotting the aggregate, so
-	// cache and scheduler counters are settled.
-	sched := mrt.Prefetcher()
-	mrt.Close()
-	agg := mrt.Stats()
-	fmt.Fprintf(w, "\naggregate: frames %d  switches %d  F1 %.3f (P %.3f / R %.3f)\n",
-		agg.Frames, agg.Switches, agg.Detection.F1, agg.Detection.Precision, agg.Detection.Recall)
-	fmt.Fprintf(w, "shared cache: hits %d misses %d evictions %d (miss rate %.2f)\n",
-		agg.Cache.Hits, agg.Cache.Misses, agg.Cache.Evictions, agg.MissRate)
-	printPrefetch(w, agg, sched)
-	makespan := mrt.SimulatedMakespan()
-	if ms := makespan.Seconds(); ms > 0 {
-		fmt.Fprintf(w, "simulated makespan %.1f ms  aggregate %.1f frames/s (vs %.1f sequential)\n",
-			1e3*ms, float64(agg.Frames)/ms, float64(agg.Frames)/agg.TotalLatency.Seconds())
-	}
-	press := mrt.PressureStats()
-	if press != nil {
-		fmt.Fprintf(w, "pressure: level %s  rung %s  shed %d  downgraded %d  quarantined %d frames (%d quarantines)\n",
-			press.Level, press.Rung, press.ShedFrames, press.DowngradedServed,
-			press.QuarantinedFrames, press.Quarantines)
-	}
-	var ast *adapt.LoopStats
-	if loop != nil {
-		st := loop.Stats()
-		ast = &st
-		fmt.Fprintf(w, "adapt: drift events %d  reports %d sent / %d lost (%d bytes up)\n",
-			st.DriftEvents, st.ReportsSent, st.ReportFailures, st.ReportBytes)
-		fmt.Fprintf(w, "adapt: canaries %d  promotions %d  rollbacks %d  rejected %d  fleet generation %d\n",
-			st.CanaryStarts, st.Promotions, st.Rollbacks, st.RejectedCandidates, st.FleetGeneration)
-	}
-	if eng := ro.SLO; eng != nil {
-		sst := eng.Status()
-		fmt.Fprintf(w, "slo: p99 %.1f ms  served %.3f  degraded %.3f  staleness %.1f ms  alerts %v\n",
-			1e3*sst.Long.LatencyP99.Seconds(), sst.Long.ServedFraction,
-			sst.Long.DegradedFraction, 1e3*sst.Long.SwapStaleness.Seconds(), sst.Alerts)
-		for _, cs := range sst.Classes {
-			fmt.Fprintf(w, "slo fleet %s: p99 max %.1f ms  p99 median %.1f ms  served min %.3f  (%d streams)\n",
-				cs.Class, 1e3*cs.LatencyP99Max.Seconds(), 1e3*cs.LatencyP99P50.Seconds(),
-				cs.ServedFractionMin, cs.Streams)
-		}
-	}
-	if rec := ro.Flight; rec != nil {
-		line := fmt.Sprintf("flight: %d events retained", len(rec.Snapshot()))
-		if d := rec.LastDump(); d != nil {
-			line += fmt.Sprintf("  frozen on anomaly %q (%d events dropped since)", d.Reason, rec.Dropped())
-		}
-		fmt.Fprintln(w, line)
-	}
-	if tracers != nil {
-		total := 0
-		for _, tr := range tracers {
-			total += tr.Count()
-		}
-		fmt.Fprintf(w, "trace: %d events written to %s.stream{0..%d}\n", total, tracePath, streams-1)
-	}
-	rep := buildReport(agg, sched, pfBreaker(pfCfg), ast, press, ro.SLO, ro.Flight, reg, spans)
-	rep.Fleet = fleetClasses
-	return writeReport(w, jsonPath, rep)
 }
 
 // variantCount is one (variant, stream count) cell of a class report.

@@ -1,21 +1,27 @@
 package main
 
 import (
+	"bytes"
 	"encoding/json"
 	"fmt"
 	"io"
 	"os"
 	"path/filepath"
+	"reflect"
 	"strings"
 	"testing"
+	"time"
 
 	"anole/internal/core"
 	"anole/internal/decision"
 	"anole/internal/detect"
+	"anole/internal/device"
 	"anole/internal/nn"
+	"anole/internal/prefetch"
 	"anole/internal/repo"
 	"anole/internal/scene"
 	"anole/internal/synth"
+	"anole/internal/telemetry"
 	"anole/internal/trace"
 	"anole/internal/xrand"
 )
@@ -123,10 +129,209 @@ func TestRunSingleStream(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	for _, want := range []string{"clip 1:", "cache:", "device:"} {
+	// A one-stream run prints the multi-stream summary, which carries
+	// every number of a device run: F1 with P/R, mean scene duration,
+	// mean simulated latency, FPS, power, energy and memory.
+	for _, want := range []string{
+		"streaming 1 streams x 1 clips x 12 frames on Jetson TX2 NX",
+		"stream 0: 12 frames", "FPS busy", "W avg", "memory resident", "peak",
+		"aggregate: frames 12", "mean scene duration", "(P ", "shared cache:",
+		"ms/frame",
+	} {
 		if !strings.Contains(out.String(), want) {
 			t.Errorf("output missing %q:\n%s", want, out.String())
 		}
+	}
+}
+
+// TestRunOneStreamMatchesRuntime pins a one-stream run, which goes
+// through core.MultiRuntime like every other stream count, to a
+// reference single-stream loop: core.NewRuntime + ProcessFrame over the
+// same generated frames, wired with the same device, link, registry and
+// span tracer. The trace file (written to the -trace path itself) must
+// be byte-identical, every -json field equal, every reference metric
+// present with the same value, and the spans equal (start times only
+// when the simulated link clock sets them).
+func TestRunOneStreamMatchesRuntime(t *testing.T) {
+	path := cheapBundlePathSeed(t, 13)
+	const clips, cacheSlots = 2, 2
+	chaos := &chaosConfig{OutageRate: 0.4, CorruptRate: 0.1, BreakerThreshold: 2, BreakerCooldown: 10}
+	cases := []struct {
+		name              string
+		frames            int // per clip
+		args              []string
+		prefetch, thermal bool
+		chaos             *chaosConfig
+	}{
+		{name: "none", frames: 150},
+		{name: "prefetch", frames: 150, args: []string{"-prefetch"}, prefetch: true},
+		{name: "chaos", frames: 150, args: []string{"-chaos", "-outage-rate", "0.4", "-corrupt-rate", "0.1",
+			"-breaker-threshold", "2", "-breaker-cooldown", "10"}, prefetch: true, chaos: chaos},
+		// The default thermal model heats only over busy inference time
+		// (about 7 ms a frame here); 5000 frames carry the device past
+		// its envelope, so throttled latencies reach the trace.
+		{name: "thermal", frames: 2500, args: []string{"-thermal"}, thermal: true},
+		{name: "batch", frames: 150, args: []string{"-batch"}},
+	}
+	for _, tc := range cases {
+		t.Run(tc.name, func(t *testing.T) {
+			dir := t.TempDir()
+			tracePath, jsonPath := filepath.Join(dir, "run.jsonl"), filepath.Join(dir, "stats.json")
+			args := append([]string{
+				"-bundle", path, "-streams", "1", "-clips", fmt.Sprint(clips),
+				"-frames", fmt.Sprint(tc.frames), "-cache", fmt.Sprint(cacheSlots),
+				"-trace", tracePath, "-json", jsonPath,
+			}, tc.args...)
+			if err := run(io.Discard, args); err != nil {
+				t.Fatal(err)
+			}
+			gotTrace, err := os.ReadFile(tracePath)
+			if err != nil {
+				t.Fatal(err)
+			}
+			raw, err := os.ReadFile(jsonPath)
+			if err != nil {
+				t.Fatal(err)
+			}
+			var got report
+			if err := json.Unmarshal(raw, &got); err != nil {
+				t.Fatal(err)
+			}
+
+			// The reference: the single-stream Runtime loop.
+			bundle, err := repo.LoadFile(path)
+			if err != nil {
+				t.Fatal(err)
+			}
+			reg := telemetry.NewRegistry()
+			var pfCfg *prefetch.Config
+			var spanClock func() time.Duration
+			if tc.prefetch {
+				pf, lf, err := linkPrefetchConfig(bundle, 0.7, 0, 1, tc.chaos, reg)
+				if err != nil {
+					t.Fatal(err)
+				}
+				pfCfg, spanClock = pf, lf.Now
+			}
+			spans := telemetry.NewTracer(0, spanClock)
+			sim, err := device.NewSimulator(device.JetsonTX2NX)
+			if err != nil {
+				t.Fatal(err)
+			}
+			if tc.thermal {
+				sim.EnableThermal(device.DefaultThermal())
+			}
+			rt, err := core.NewRuntime(bundle, core.RuntimeConfig{
+				CacheSlots: cacheSlots, Device: sim, Prefetch: pfCfg, Metrics: reg, Tracer: spans,
+			})
+			if err != nil {
+				t.Fatal(err)
+			}
+			var wantTrace bytes.Buffer
+			tw := trace.NewWriter(&wantTrace)
+			world, err := synth.NewWorld(synth.DefaultConfig(1))
+			if err != nil {
+				t.Fatal(err)
+			}
+			traceProfile := synth.DefaultProfiles(1)[1]
+			traceProfile.FramesPerClip = tc.frames
+			rng := xrand.NewLabeled(1, "anole-run-trace")
+			for c := 0; c < clips; c++ {
+				clip := world.GenerateClip(traceProfile, 9000+c, rng.Split(uint64(c)))
+				for _, f := range clip.Frames {
+					res, err := rt.ProcessFrame(f)
+					if err != nil {
+						t.Fatal(err)
+					}
+					if err := tw.Record(bundle, f, res); err != nil {
+						t.Fatal(err)
+					}
+				}
+			}
+			if err := tw.Flush(); err != nil {
+				t.Fatal(err)
+			}
+			sched := rt.Prefetcher()
+			rt.Close()
+			refRaw, err := json.Marshal(buildReport(rt.Stats(), sched, pfBreaker(pfCfg), nil, nil, nil, nil, reg, spans))
+			if err != nil {
+				t.Fatal(err)
+			}
+			var want report
+			if err := json.Unmarshal(refRaw, &want); err != nil {
+				t.Fatal(err)
+			}
+
+			if tc.thermal && sim.Heat() <= 1 {
+				t.Errorf("heat %.3f never passed the throttle threshold 1", sim.Heat())
+			}
+			if tw.Count() != clips*tc.frames || !bytes.Equal(gotTrace, wantTrace.Bytes()) {
+				t.Errorf("trace differs from the reference (%d vs %d bytes)", len(gotTrace), wantTrace.Len())
+			}
+			for name, v := range want.Metrics {
+				if g, ok := got.Metrics[name]; !ok || g != v {
+					t.Errorf("metric %s = %v (present %v), reference %v", name, g, ok, v)
+				}
+			}
+			if len(got.Spans) != len(want.Spans) {
+				t.Errorf("%d spans, reference %d", len(got.Spans), len(want.Spans))
+			} else {
+				for i := range want.Spans {
+					g, w := got.Spans[i], want.Spans[i]
+					if spanClock == nil {
+						g.Start, w.Start = 0, 0
+					}
+					if g != w {
+						t.Errorf("span %d = %+v, reference %+v", i, g, w)
+						break
+					}
+				}
+			}
+			got.Metrics, got.Spans, want.Metrics, want.Spans = nil, nil, nil, nil
+			if !reflect.DeepEqual(got, want) {
+				t.Errorf("report differs from the reference:\n got %+v\nwant %+v", got, want)
+			}
+		})
+	}
+}
+
+// TestRunOneStreamFleetObservability runs the overload, observability
+// and fleet flags on a single stream, which the one tick pipeline
+// serves like any other stream count.
+func TestRunOneStreamFleetObservability(t *testing.T) {
+	path := cheapBundlePath(t)
+	dir := t.TempDir()
+	jsonPath, ckptPath := filepath.Join(dir, "stats.json"), filepath.Join(dir, "run.ckpt")
+	var out strings.Builder
+	err := run(&out, []string{
+		"-bundle", path, "-streams", "1", "-clips", "1", "-frames", "30", "-cache", "2",
+		"-deadline", "60ms", "-slo", "-flight", "-fleet", "nano:1", "-checkpoint", ckptPath,
+		"-json", jsonPath,
+	})
+	if err != nil {
+		t.Fatal(err)
+	}
+	for _, want := range []string{"stream 0 [nano]:", "fleet nano (Jetson Nano):", "pressure: level", "slo: p99", "flight:", "checkpoint: wrote"} {
+		if !strings.Contains(out.String(), want) {
+			t.Errorf("output missing %q:\n%s", want, out.String())
+		}
+	}
+	raw, err := os.ReadFile(jsonPath)
+	if err != nil {
+		t.Fatal(err)
+	}
+	var rep report
+	if err := json.Unmarshal(raw, &rep); err != nil {
+		t.Fatal(err)
+	}
+	if rep.Frames+rep.Pressure.ShedFrames+rep.Pressure.QuarantinedFrames != 30 {
+		t.Errorf("frames %d + shed %d + quarantined %d, want 30 offered", rep.Frames, rep.Pressure.ShedFrames, rep.Pressure.QuarantinedFrames)
+	}
+	if rep.SLO == nil || rep.Flight == nil || len(rep.Fleet) != 1 || rep.Fleet[0].Streams != 1 {
+		t.Fatalf("report missing a block: slo=%v flight=%v fleet=%+v", rep.SLO != nil, rep.Flight != nil, rep.Fleet)
+	}
+	if _, err := os.Stat(ckptPath); err != nil {
+		t.Fatal(err)
 	}
 }
 
@@ -351,9 +556,8 @@ func TestRunAdaptJSON(t *testing.T) {
 
 func TestRunRejectsBadFleetFlags(t *testing.T) {
 	cases := map[string][]string{
-		"fleet single stream": {"-fleet", "nano:1", "-streams", "1"},
-		"plan without fleet":  {"-streams", "2", "-plan"},
-		"plan with adapt":     {"-streams", "2", "-fleet", "nano:1,tx2:1", "-plan", "-adapt"},
+		"plan without fleet": {"-streams", "2", "-plan"},
+		"plan with adapt":    {"-streams", "2", "-fleet", "nano:1,tx2:1", "-plan", "-adapt"},
 	}
 	for name, args := range cases {
 		if err := run(io.Discard, args); err == nil {

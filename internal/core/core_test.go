@@ -299,27 +299,6 @@ func TestRuntimeAccuracyBeatsRandomSelection(t *testing.T) {
 	}
 }
 
-func TestRuntimeSelectorSurface(t *testing.T) {
-	fx := testutil.Shared(t)
-	rt, err := core.NewRuntime(fx.Bundle, core.RuntimeConfig{})
-	if err != nil {
-		t.Fatal(err)
-	}
-	if rt.Name() != "Anole" {
-		t.Fatalf("name %q", rt.Name())
-	}
-	if len(rt.Detectors()) != fx.Bundle.NumModels() {
-		t.Fatal("detectors surface wrong")
-	}
-	if rt.OverheadFLOPs() != fx.Bundle.Decision.FLOPs() {
-		t.Fatal("overhead wrong")
-	}
-	f := fx.Corpus.Frames(synth.Test)[0]
-	if det := rt.Select(f); det == nil {
-		t.Fatal("Select returned nil")
-	}
-}
-
 func TestNewRuntimeValidation(t *testing.T) {
 	if _, err := core.NewRuntime(&core.Bundle{}, core.RuntimeConfig{}); err == nil {
 		t.Fatal("invalid bundle accepted")

@@ -100,11 +100,6 @@ type MultiRuntimeConfig struct {
 	// derates per-frame compute through device.ThrottleFactor and heat
 	// feeds the pressure monitor.
 	Thermal *device.ThermalModel
-	// Pressure tunes the overload machinery (monitor thresholds,
-	// controller persistence, watchdog, critical watermark). A non-nil
-	// value enables it even without a Deadline — the monitor and
-	// watchdog run, the shed ladder stays at ShedNone.
-	Pressure *PressureConfig
 	// Flight, when non-nil, receives the fleet's anomaly-relevant
 	// events: non-served terminal frame verdicts, pressure-level
 	// transitions, quarantines and bundle swaps. Anomalies freeze the
@@ -146,7 +141,7 @@ type MultiRuntime struct {
 	fleet device.Fleet
 	plan  *planState
 	// press is the overload-survival machinery (nil unless a Deadline
-	// or PressureConfig enabled it — see pressure.go).
+	// enabled it — see pressure.go).
 	press *pressureState
 	// flt and slo are the observability attachments (both optional,
 	// both nil-safe): the flight recorder sees anomaly-relevant events,
@@ -289,7 +284,7 @@ func NewMultiRuntime(b *Bundle, cfg MultiRuntimeConfig) (*MultiRuntime, error) {
 			m.slo.SetStreamClass(int32(i), fleet[i].Class)
 		}
 	}
-	m.press = newPressureState(cfg.Streams, cfg.Deadline, cfg.Pressure, cfg.Metrics, m.pressureReact(cfg.Pressure.criticalWatermark()))
+	m.press = newPressureState(cfg.Streams, cfg.Deadline, cfg.Metrics, m.pressureReact())
 	if m.press != nil {
 		m.press.latScale = fleetLatencyScales(fleet)
 	}
@@ -306,7 +301,7 @@ func NewMultiRuntime(b *Bundle, cfg MultiRuntimeConfig) (*MultiRuntime, error) {
 // link and cache budget go to demand traffic), Critical tightens the
 // cache's byte watermark and sweeps unpinned entries down to it.
 // Dropping back below each threshold undoes the reaction.
-func (m *MultiRuntime) pressureReact(watermark float64) func(pressure.Level) {
+func (m *MultiRuntime) pressureReact() func(pressure.Level) {
 	return func(lv pressure.Level) {
 		m.flt.Record(flight.Event{
 			Stream: flight.GlobalStream,
@@ -318,7 +313,7 @@ func (m *MultiRuntime) pressureReact(watermark float64) func(pressure.Level) {
 			m.pf.SetPaused(lv >= pressure.Elevated)
 		}
 		if lv >= pressure.Critical {
-			m.cache.SetWatermark(watermark)
+			m.cache.SetWatermark(criticalWatermark)
 			evicted := m.cache.SweepToWatermark()
 			m.press.mon.NoteSweep(len(evicted))
 		} else {

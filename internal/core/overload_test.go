@@ -199,7 +199,7 @@ func TestMultiRuntimePressureFrameErrorQuarantines(t *testing.T) {
 			Streams:    streams,
 			CacheSlots: 3,
 			Batch:      batch,
-			Pressure:   &core.PressureConfig{},
+			Deadline:   time.Hour,
 		})
 		if err != nil {
 			t.Fatal(err)

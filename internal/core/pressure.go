@@ -57,24 +57,9 @@ func (v FrameVerdict) served() bool {
 	return v == VerdictServed || v == VerdictDowngraded
 }
 
-// PressureConfig tunes the overload-survival machinery; every field's
-// zero value selects the documented default, so &PressureConfig{}
-// enables the monitor and watchdog with defaults (the deadline
-// controller additionally needs MultiRuntimeConfig.Deadline).
-type PressureConfig struct {
-	// Monitor tunes the pressure-level thresholds and hysteresis.
-	Monitor pressure.MonitorConfig
-	// Controller tunes the shed ladder's escalation persistence; its
-	// Target field is ignored (MultiRuntimeConfig.Deadline is the
-	// target).
-	Controller pressure.ControllerConfig
-	// Watchdog tunes stall detection and quarantine length.
-	Watchdog pressure.WatchdogConfig
-	// CriticalWatermark is the cache byte-watermark fraction applied
-	// while the monitor reads Critical (default 0.75); Nominal and
-	// Elevated restore 1.0.
-	CriticalWatermark float64
-}
+// criticalWatermark is the cache byte-watermark fraction applied while
+// the pressure monitor reads Critical; Nominal and Elevated restore 1.0.
+const criticalWatermark = 0.75
 
 // pressureState is the MultiRuntime's attachment of the pressure
 // machinery: one monitor, one fleet-level deadline controller, one
@@ -102,32 +87,22 @@ type pressureState struct {
 	probeRR int
 }
 
-// newPressureState wires the machinery for a MultiRuntime. Enabled by
-// a Deadline, a PressureConfig, or both; returns nil when neither is
-// set so the zero-config runtime carries no pressure code at all.
-func newPressureState(streams int, deadline time.Duration, cfg *PressureConfig, reg *telemetry.Registry, onLevel func(pressure.Level)) *pressureState {
-	if deadline <= 0 && cfg == nil {
+// newPressureState wires the machinery for a MultiRuntime with the
+// pressure package's default monitor, controller and watchdog tuning.
+// A positive deadline enables it; otherwise it returns nil so the
+// zero-config runtime carries no pressure code at all.
+func newPressureState(streams int, deadline time.Duration, reg *telemetry.Registry, onLevel func(pressure.Level)) *pressureState {
+	if deadline <= 0 {
 		return nil
 	}
-	pc := PressureConfig{}
-	if cfg != nil {
-		pc = *cfg
-	}
-	if pc.Monitor.Metrics == nil {
-		pc.Monitor.Metrics = reg
-	}
 	ps := &pressureState{
-		mon:      pressure.NewMonitor(pc.Monitor),
-		wd:       pressure.NewWatchdog(streams, pc.Watchdog),
+		mon:      pressure.NewMonitor(pressure.MonitorConfig{Metrics: reg}),
+		ctl:      pressure.NewController(pressure.ControllerConfig{Target: deadline}),
+		wd:       pressure.NewWatchdog(streams, pressure.WatchdogConfig{}),
 		deadline: deadline,
 		active:   make([]bool, streams),
 		progress: make([]bool, streams),
 		live:     make([]int, 0, streams),
-	}
-	if deadline > 0 {
-		cc := pc.Controller
-		cc.Target = deadline
-		ps.ctl = pressure.NewController(cc)
 	}
 	if onLevel != nil {
 		ps.mon.Subscribe(onLevel)
@@ -164,15 +139,6 @@ func fleetLatencyScales(fleet device.Fleet) []float64 {
 		scales[i] = fastest / gflops[i]
 	}
 	return scales
-}
-
-// criticalWatermark returns the sweep fraction for a config (0.75
-// default).
-func (cfg *PressureConfig) criticalWatermark() float64 {
-	if cfg != nil && cfg.CriticalWatermark > 0 && cfg.CriticalWatermark <= 1 {
-		return cfg.CriticalWatermark
-	}
-	return 0.75
 }
 
 // disposedResult is the terminal FrameResult for a frame that never

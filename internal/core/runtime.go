@@ -790,34 +790,6 @@ func (r *Runtime) Stats() RunStats {
 	return out
 }
 
-// Name implements the Selector surface shared with the baselines
-// package, so the harness can evaluate Anole uniformly.
-func (r *Runtime) Name() string { return "Anole" }
-
-// Select implements the Selector surface: it advances the cache exactly
-// as ProcessFrame does and returns the model that would serve the frame.
-func (r *Runtime) Select(f *synth.Frame) *detect.Detector {
-	scores := r.bundle.Decision.Scores(f)
-	rank := stats.RankDescending(scores)
-	desiredName := r.bundle.Detectors[rank[0]].Name
-	if _, _, err := r.cache.Request(desiredName, 1); err != nil {
-		return r.bundle.Detectors[rank[0]]
-	}
-	for _, idx := range rank {
-		if r.cache.Contains(r.bundle.Detectors[idx].Name) {
-			return r.bundle.Detectors[idx]
-		}
-	}
-	return r.bundle.Detectors[rank[0]]
-}
-
-// Detectors implements the Selector surface.
-func (r *Runtime) Detectors() []*detect.Detector { return r.bundle.Detectors }
-
-// OverheadFLOPs implements the Selector surface: the per-frame decision
-// cost.
-func (r *Runtime) OverheadFLOPs() int64 { return r.bundle.Decision.FLOPs() }
-
 // noteDemandFailure advances the degraded-mode backoff: the wait before
 // the next link probe doubles with every consecutive failure, capped at
 // retryCap frames.

@@ -25,6 +25,7 @@ import (
 	"sync"
 	"time"
 
+	"anole/internal/stats"
 	"anole/internal/telemetry"
 )
 
@@ -327,7 +328,7 @@ type windowAcc struct {
 	served    int
 	degraded  int
 	overLat   int
-	latencies []time.Duration
+	latencies []float64 // nanoseconds, for stats.Quantile
 	worstSt   time.Duration
 	stales    int
 }
@@ -431,7 +432,7 @@ func (e *Engine) window(frames []frameSample, stales []staleSample, now, w time.
 		if s.latency > e.cfg.LatencyTarget {
 			acc.overLat++
 		}
-		acc.latencies = append(acc.latencies, s.latency)
+		acc.latencies = append(acc.latencies, float64(s.latency))
 		if perStream != nil {
 			sa := perStream[s.stream]
 			if sa == nil {
@@ -442,7 +443,7 @@ func (e *Engine) window(frames []frameSample, stales []staleSample, now, w time.
 			if s.served {
 				sa.served++
 			}
-			sa.latencies = append(sa.latencies, s.latency)
+			sa.latencies = append(sa.latencies, float64(s.latency))
 		}
 	}
 	for _, s := range stales {
@@ -457,7 +458,7 @@ func (e *Engine) window(frames []frameSample, stales []staleSample, now, w time.
 	out := WindowStats{
 		Window:           w,
 		Frames:           acc.frames,
-		LatencyP99:       quantileDur(acc.latencies, 0.99),
+		LatencyP99:       time.Duration(math.Round(stats.Quantile(acc.latencies, 0.99))),
 		ServedFraction:   servedFrac(acc.served, acc.frames),
 		DegradedFraction: fracOf(acc.degraded, acc.frames),
 		SwapStaleness:    acc.worstSt,
@@ -533,24 +534,23 @@ func fleetStats(perStream map[int32]*windowAcc) ([]StreamStats, FleetStats) {
 		streams = append(streams, StreamStats{
 			Stream:         int(id),
 			Frames:         sa.frames,
-			LatencyP99:     quantileDur(sa.latencies, 0.99),
+			LatencyP99:     time.Duration(math.Round(stats.Quantile(sa.latencies, 0.99))),
 			ServedFraction: servedFrac(sa.served, sa.frames),
 		})
 	}
 	sort.Slice(streams, func(i, j int) bool { return streams[i].Stream < streams[j].Stream })
 
-	p99s := make([]time.Duration, 0, len(streams))
+	p99s := make([]float64, 0, len(streams))
 	fleet := FleetStats{Streams: len(streams), ServedFractionMin: 1}
 	for _, s := range streams {
-		p99s = append(p99s, s.LatencyP99)
+		p99s = append(p99s, float64(s.LatencyP99))
 		if s.ServedFraction < fleet.ServedFractionMin {
 			fleet.ServedFractionMin = s.ServedFraction
 		}
+		fleet.LatencyP99Max = max(fleet.LatencyP99Max, s.LatencyP99)
 	}
-	sort.Slice(p99s, func(i, j int) bool { return p99s[i] < p99s[j] })
-	fleet.LatencyP99P50 = quantileSorted(p99s, 0.50)
-	fleet.LatencyP99P95 = quantileSorted(p99s, 0.95)
-	fleet.LatencyP99Max = p99s[len(p99s)-1]
+	fleet.LatencyP99P50 = time.Duration(math.Round(stats.Quantile(p99s, 0.50)))
+	fleet.LatencyP99P95 = time.Duration(math.Round(stats.Quantile(p99s, 0.95)))
 	return streams, fleet
 }
 
@@ -590,31 +590,4 @@ func servedFrac(served, total int) float64 {
 		return 1
 	}
 	return float64(served) / float64(total)
-}
-
-// quantileDur sorts (a copy is not needed — callers own the slice) and
-// reads the q-th quantile with the nearest-rank method. Empty input
-// reads 0; a single sample reads itself at every quantile.
-func quantileDur(d []time.Duration, q float64) time.Duration {
-	if len(d) == 0 {
-		return 0
-	}
-	sort.Slice(d, func(i, j int) bool { return d[i] < d[j] })
-	return quantileSorted(d, q)
-}
-
-// quantileSorted reads the q-th quantile of a sorted slice by nearest
-// rank.
-func quantileSorted(d []time.Duration, q float64) time.Duration {
-	if len(d) == 0 {
-		return 0
-	}
-	idx := int(math.Ceil(q*float64(len(d)))) - 1
-	if idx < 0 {
-		idx = 0
-	}
-	if idx >= len(d) {
-		idx = len(d) - 1
-	}
-	return d[idx]
 }

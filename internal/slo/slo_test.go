@@ -122,11 +122,14 @@ func TestFleetPercentiles(t *testing.T) {
 	if st.Fleet.Streams != 10 {
 		t.Fatalf("fleet streams %d", st.Fleet.Streams)
 	}
-	if st.Fleet.LatencyP99P50 != 5*time.Millisecond {
-		t.Fatalf("fleet p50 of stream p99s = %v, want 5ms", st.Fleet.LatencyP99P50)
+	// Linear interpolation between order statistics (stats.Quantile):
+	// p50 sits halfway between 5ms and 6ms, p95 at 0.55 of the way from
+	// 9ms to 10ms.
+	if st.Fleet.LatencyP99P50 != 5500*time.Microsecond {
+		t.Fatalf("fleet p50 of stream p99s = %v, want 5.5ms", st.Fleet.LatencyP99P50)
 	}
-	if st.Fleet.LatencyP99P95 != 10*time.Millisecond {
-		t.Fatalf("fleet p95 of stream p99s = %v, want 10ms", st.Fleet.LatencyP99P95)
+	if st.Fleet.LatencyP99P95 != 9550*time.Microsecond {
+		t.Fatalf("fleet p95 of stream p99s = %v, want 9.55ms", st.Fleet.LatencyP99P95)
 	}
 	if st.Fleet.LatencyP99Max != 10*time.Millisecond {
 		t.Fatalf("fleet max %v", st.Fleet.LatencyP99Max)
